@@ -114,7 +114,8 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
         eps: float, dt: float, t_final: float, cadence: int = 50,
         observer=None):
     """Step to t_final, invoking observer(i_sample, t, FieldState) every
-    `cadence` steps (including t = 0 and the final time).  Returns the final
+    `cadence` steps (including t = 0 and the final time); a truthy return
+    from the observer stops the run after that sample.  Returns the last
     field and the diagnostics series."""
     grid = psi0.grid
     V = potential_on_grid(potential, grid) if potential is not None else None
@@ -135,15 +136,15 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
             momenta=_momenta(f),
             boundary_mass=boundary_mass_fraction(f),
         ))
-        if observer is not None:
-            observer(i_sample, t, f)
+        stop = observer is not None and observer(i_sample, t, f)
         i_sample += 1
+        return stop
 
-    record(0.0, vals)
+    stop = record(0.0, vals)
     done = 0
-    while done < n_steps:
+    while done < n_steps and not stop:
         blk = min(cadence, n_steps - done)
         vals = st.step_block(vals, blk)
         done += blk
-        record(done * dt, vals)
+        stop = record(done * dt, vals)
     return FieldState(grid, vals), diags

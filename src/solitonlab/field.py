@@ -12,6 +12,7 @@ Conventions (used everywhere downstream, watch the factor 2):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 _MAGIC = b"NLSFLD01"
+_HEADER = "<8sI3I3d"          # magic, dim, n[3], L[3]; zero-padded to 64 bytes
 
 
 class GridMismatchError(ValueError):
@@ -229,7 +231,7 @@ def save_field(psi: FieldState, path):
     g = psi.grid
     n3 = list(g.n) + [0] * (3 - g.dim)
     L3 = list(g.length) + [0.0] * (3 - g.dim)
-    header = struct.pack("<8sI3i3d", _MAGIC, g.dim, *n3, *L3)
+    header = struct.pack(_HEADER, _MAGIC, g.dim, *n3, *L3)
     header = header.ljust(64, b"\0")
     flat = np.empty(2 * g.size, dtype="<f8")
     flat[0::2] = psi.values.real.ravel()
@@ -240,15 +242,25 @@ def save_field(psi: FieldState, path):
 
 
 def load_field(path) -> FieldState:
+    """Read a save_field file.  A short header, a bad dim or grid size, or a
+    payload of other than 16 bytes per grid point raises ValueError (checked
+    before any grid array is allocated)."""
     with open(path, "rb") as fh:
         header = fh.read(64)
-        magic, dim, n1, n2, n3, L1, L2, L3 = struct.unpack("<8sI3i3d", header[:48])
-        if magic != _MAGIC:
-            raise ValueError("not a field snapshot file")
-        n = (n1, n2, n3)[:dim]
-        L = (L1, L2, L3)[:dim]
-        grid = Grid(dim, n, L)
-        flat = np.frombuffer(fh.read(16 * grid.size), dtype="<f8")
+        payload = fh.read()
+    if len(header) < 64:
+        raise ValueError(f"field file header is {len(header)} bytes, expected 64")
+    magic, dim, n1, n2, n3, L1, L2, L3 = struct.unpack_from(_HEADER, header)
+    if magic != _MAGIC:
+        raise ValueError("not a field snapshot file")
+    n = (n1, n2, n3)[:dim]
+    if not 1 <= dim <= 3 or min(n) < 1:
+        raise ValueError(f"bad field header: dim {dim}, n {(n1, n2, n3)}")
+    if len(payload) != 16 * math.prod(n):
+        raise ValueError(f"field payload is {len(payload)} bytes, expected "
+                         f"{16 * math.prod(n)} for grid {n}")
+    grid = Grid(dim, n, (L1, L2, L3)[:dim])
+    flat = np.frombuffer(payload, dtype="<f8")
     vals = (flat[0::2] + 1j * flat[1::2]).reshape(grid.n)
     return FieldState(grid, vals)
 

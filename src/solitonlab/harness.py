@@ -18,7 +18,7 @@ from .field import FieldState, Grid, h1_norm, w1s_norm, apply_symmetry
 from .groundstate import SolitonFamily, mass_curve
 from .mech import (EffectivePotential, MechOrbit, MechState,
                    build_effective_potential, critical_margin, mech_energy, mech_run,
-                   orbit_distance)
+                   orbit_distance, orbit_steps)
 from .model import SimulationConfig, config_hash, validate_config
 from .modulation import (ExtractionError, SolitonCoordinates, extract,
                          project)
@@ -140,19 +140,19 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
 
     orbit = None
     if axial and cfg.t_final > 0:
-        n_mech = 200_000
+        n_mech = orbit_steps(veff_axis, m_used, cfg.epsilon, cfg.t_final)
         orbit = mech_run(MechState(p0_ax, q0_ax), m_used, cfg.epsilon, veff_axis,
                          dt=cfg.t_final / n_mech, t_final=cfg.t_final)
 
     want_s = sorted({s for _, s in cfg.strichartz_pairs})
     rows = {k: [] for k in ROW_FIELDS}
     sn = {s: [] for s in want_s}
-    state = {"prev": dec0.coords, "t_prev": 0.0, "partial": False, "t_fail": None}
+    state = {"prev": dec0.coords, "t_prev": 0.0, "partial": False, "t_fail": None,
+             "error": None}
     fields = []
 
     def observer(i, t, f):
-        if state["partial"]:
-            return
+        """Record one sample; True (stop stepping) once extraction fails."""
         prev = state["prev"]
         dt_gap = t - state["t_prev"]
         guess = SolitonCoordinates(
@@ -164,7 +164,7 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
             state["partial"] = True
             state["t_fail"] = t
             state["error"] = str(e)
-            return
+            return True
         state["prev"] = dec.coords
         state["t_prev"] = t
         pax, qax = _axis_components(dec.coords, axis)
@@ -220,6 +220,7 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
         "max_boundary_mass": float(np.max(rows["boundary_mass"])) if n else float("nan"),
         "partial": state["partial"],
         "t_fail": state["t_fail"],
+        "error": state["error"],
         "perturb_h1": info["perturb_h1"],
         "critical_margin": critical_margin(h_mech0 / cfg.epsilon, veff_axis)
         if cfg.epsilon > 0 else float("nan"),
@@ -274,12 +275,14 @@ def epsilon_sweep(base: SimulationConfig, eps_list, t0: float | None = None,
     cfgs = [_sweep_cfg(base, e, t0, target_samples) for e in eps_list]
     records = None
     if threads > 1:
+        # the smallest eps runs longest (horizon t0/eps): submit it first so
+        # that no worker idles while it finishes; results keep the eps order
         with ProcessPoolExecutor(max_workers=threads) as ex:
             if keep_records:
-                records = list(ex.map(scenario_run, cfgs))
+                records = list(ex.map(scenario_run, cfgs[::-1]))[::-1]
                 entries = [r.summary for r in records]
             else:
-                entries = list(ex.map(_run_summary, cfgs))
+                entries = list(ex.map(_run_summary, cfgs[::-1]))[::-1]
     elif keep_records:
         records = [scenario_run(c) for c in cfgs]
         entries = [r.summary for r in records]

@@ -8,7 +8,8 @@ leapfrog energy errors stay bounded.  H_mech = |p|^2/(2m) + eps V^eff(q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
@@ -19,7 +20,7 @@ from .model import PotentialModel
 __all__ = [
     "EffectivePotential", "MechState", "MechOrbit",
     "build_effective_potential", "mech_energy", "mech_step", "mech_run",
-    "orbit_distance", "critical_values", "critical_margin",
+    "orbit_steps", "orbit_distance", "critical_values", "critical_margin",
 ]
 
 
@@ -32,7 +33,6 @@ class _UniformCubic:
 
     def __init__(self, spline: CubicSpline):
         self.x0 = float(spline.x[0])
-        self.x1 = float(spline.x[-1])
         self.h = float(spline.x[1] - spline.x[0])
         self.c = spline.c                    # (4, n-1)
         self.n_seg = self.c.shape[1]
@@ -150,6 +150,16 @@ class MechOrbit:
     energies: np.ndarray
     mass: float
     eps: float
+    _weighted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def weighted_samples(self, eps: float):
+        """Samples as columns of z = (p, sqrt(eps) q), shape (2d, n), and the
+        segment lengths |z_{j+1} - z_j|, cached per eps."""
+        if eps not in self._weighted:
+            z = np.vstack([self.ps.T, math.sqrt(eps) * self.qs.T])
+            dz = np.diff(z, axis=1)
+            self._weighted[eps] = (z, np.sqrt(np.einsum("ij,ij->j", dz, dz)))
+        return self._weighted[eps]
 
     def period_estimate(self) -> float | None:
         """Mean spacing of upward mean-crossings of q[0] (None if not periodic)."""
@@ -162,91 +172,71 @@ class MechOrbit:
         return float(np.mean(np.diff(tcross)))
 
 
+# as fine as 200,000 steps over the eps = 1e-3 acceptance horizon 5/eps (12,792)
+STEPS_PER_PERIOD = 12_800
+# where eps V^eff'' = 0 the leapfrog is exact and this only sets the sample spacing
+MIN_STEPS = 1_000
+
+
+def orbit_steps(veff: EffectivePotential, m: float, eps: float, t_final: float) -> int:
+    """Leapfrog steps to t_final in the 1D/axial V^eff: STEPS_PER_PERIOD per
+    period of the fastest small oscillation, omega^2 = eps max|V^eff''| / m
+    (the spline's V^eff'' is piecewise linear: its maximum is on a knot)."""
+    curvature = float(np.max(np.abs(veff._spline(veff.grid.axes[0], 2))))
+    omega = math.sqrt(eps * curvature / m)
+    return max(MIN_STEPS, math.ceil(t_final * omega * STEPS_PER_PERIOD / (2.0 * math.pi)))
+
+
 def mech_run(state0: MechState, m: float, eps: float, veff: EffectivePotential,
-             dt: float, t_final: float, store_every: int = 1) -> MechOrbit:
+             dt: float, t_final: float) -> MechOrbit:
     n = int(round(t_final / dt))
     if veff.grid.dim == 1:
-        return _mech_run_1d(state0, m, eps, veff, dt, n, store_every)
-    ts, ps, qs, es = [state0.t], [state0.p.copy()], [state0.q.copy()], \
-        [mech_energy(state0, m, eps, veff)]
-    s = state0
-    for i in range(n):
-        s = mech_step(s, m, eps, veff, dt)
-        if (i + 1) % store_every == 0 or i == n - 1:
-            ts.append(s.t)
-            ps.append(s.p.copy())
-            qs.append(s.q.copy())
-            es.append(mech_energy(s, m, eps, veff))
-    return MechOrbit(np.array(ts), np.array(ps), np.array(qs), np.array(es), m, eps)
+        return _mech_run_1d(state0, m, eps, veff, dt, n)
+    states = [state0]
+    for _ in range(n):
+        states.append(mech_step(states[-1], m, eps, veff, dt))
+    return MechOrbit(np.array([s.t for s in states]), np.array([s.p for s in states]),
+                     np.array([s.q for s in states]),
+                     np.array([mech_energy(s, m, eps, veff) for s in states]), m, eps)
 
 
-def _mech_run_1d(state0, m, eps, veff, dt, n, store_every):
+def _mech_run_1d(state0, m, eps, veff, dt, n):
     """Scalar leapfrog loop on raw floats (the spline calls dominate otherwise)."""
     fast = veff._fast
-    lo = veff.grid.axes[0][0]
-    hi = veff.grid.axes[0][-1]
+    lo, hi = veff.grid.axes[0][0], veff.grid.axes[0][-1]
     p, q, t = float(state0.p[0]), float(state0.q[0]), state0.t
-    n_keep = n // store_every + 2
-    ts = np.empty(n_keep)
-    ps = np.empty(n_keep)
-    qs = np.empty(n_keep)
+    ts, ps, qs = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     ts[0], ps[0], qs[0] = t, p, q
-    k = 1
     half = 0.5 * dt * eps
-    for i in range(n):
+    for i in range(1, n + 1):
         p -= half * fast.deriv(q)
         q += dt * p / m
         if not lo <= q <= hi:
             raise MechError(f"q={q:.4g} left the interpolation range")
         p -= half * fast.deriv(q)
         t += dt
-        if (i + 1) % store_every == 0 or i == n - 1:
-            ts[k], ps[k], qs[k] = t, p, q
-            k += 1
-    ts, ps, qs = ts[:k], ps[:k].reshape(-1, 1), qs[:k].reshape(-1, 1)
-    es = ps[:, 0] ** 2 / (2.0 * m) + eps * np.array([fast(v) for v in qs[:, 0]])
-    return MechOrbit(ts, ps, qs, es, m, eps)
-
-
-def _weighted_sq(dp, dq, eps):
-    return np.sum(dp**2, axis=-1) + eps * np.sum(dq**2, axis=-1)
+        ts[i], ps[i], qs[i] = t, p, q
+    es = ps**2 / (2.0 * m) + eps * veff._spline(qs)
+    return MechOrbit(ts, ps[:, None], qs[:, None], es, m, eps)
 
 
 def orbit_distance(point: MechState, orbit: MechOrbit, eps: float) -> float:
-    """min over the orbit of ||(p-p', q-q')||_eps, golden-refined between the
-    bracketing samples (||(p,q)||_eps^2 = sum p_k^2 + eps q_k^2)."""
+    """Exact min of ||(p-p', q-q')||_eps over the piecewise-linear orbit
+    (||(p,q)||_eps^2 = sum p_k^2 + eps q_k^2).  In z = (p, sqrt(eps) q) the
+    norm is Euclidean and a segment's nearest point is the clipped projection
+    onto it; segment j is projected only if |x - z_j| - |z_{j+1} - z_j| is
+    below the nearest sample's distance, since otherwise none of it is nearer."""
     if len(orbit.ts) == 0:
         raise MechError("empty orbit")
-    d2 = _weighted_sq(orbit.ps - point.p, orbit.qs - point.q, eps)
-    i = int(np.argmin(d2))
-    lo, hi = max(0, i - 1), min(len(d2) - 1, i + 1)
-    if hi == lo:
-        return float(np.sqrt(d2[i]))
-
-    def f(s):
-        j = int(np.floor(s))
-        j = min(j, len(d2) - 2)
-        w = s - j
-        p = (1 - w) * orbit.ps[j] + w * orbit.ps[j + 1]
-        q = (1 - w) * orbit.qs[j] + w * orbit.qs[j + 1]
-        return float(_weighted_sq(p - point.p, q - point.q, eps))
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-12:
-            break
-    return float(np.sqrt(min(fc, fd, d2[i])))
+    z, seg_len = orbit.weighted_samples(eps)
+    r = z - np.concatenate([point.p, math.sqrt(eps) * point.q])[:, None]
+    d2 = np.einsum("ij,ij->j", r, r)
+    best2 = float(d2.min())
+    j = np.flatnonzero(np.sqrt(d2[:-1]) - seg_len < math.sqrt(best2))
+    rj, dz = r[:, j], z[:, j + 1] - z[:, j]
+    s = np.clip(-np.einsum("ij,ij->j", rj, dz) / seg_len[j] ** 2, 0.0, 1.0)
+    foot = rj + s * dz
+    return math.sqrt(float(np.einsum("ij,ij->j", foot, foot).min(initial=best2)))
 
 
 def critical_values(veff: EffectivePotential) -> np.ndarray:

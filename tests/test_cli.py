@@ -96,6 +96,26 @@ def test_cli_simulate_snapshots(cfg_file, tmp_path):
     assert (tmp_path / "out" / "final_abs2.csv").exists()
 
 
+def test_cli_partial_run_exit_code(cfg_file, tmp_path, monkeypatch):
+    # extraction lost after t = 0: exit 3, the partial rows and the error kept
+    import solitonlab.harness as hn
+    from solitonlab.modulation import ExtractionError
+    real, calls = hn.extract, []
+
+    def failing(*a, **kw):
+        calls.append(1)
+        if len(calls) > 2:
+            raise ExtractionError("synthetic failure")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(hn, "extract", failing)
+    assert main(["--config", str(cfg_file()), "simulate"]) == 3
+    summary = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
+    assert summary["partial"] and summary["error"] == "synthetic failure"
+    rows = (tmp_path / "out" / "simulate_series.csv").read_text().splitlines()
+    assert len(rows) == 2                      # header and the t = 0 sample
+
+
 def test_cli_mech(cfg_file, tmp_path):
     code = main(["--config", str(cfg_file(t_final=50.0)), "mech"])
     assert code == 0

@@ -206,6 +206,25 @@ def test_save_load_3d(tmp_path, rng):
     assert np.array_equal(back.values, psi.values)
 
 
+@pytest.mark.parametrize("cut", [-1, -16, 16, 8])
+def test_load_rejects_wrong_payload_size(tmp_path, cut):
+    # truncated by a byte or a value, or trailing bytes after the payload
+    g = Grid(1, 32, 10.0)
+    path = tmp_path / "field.bin"
+    save_field(FieldState(g, np.ones(g.n, complex)), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
+    with pytest.raises(ValueError, match="payload is"):
+        load_field(path)
+
+
+def test_load_rejects_short_header(tmp_path):
+    path = tmp_path / "field.bin"
+    path.write_bytes(b"NLSFLD01" + b"\0" * 20)
+    with pytest.raises(ValueError, match="header"):
+        load_field(path)
+
+
 def test_fft_roundtrip_invariant(grid512, rng):
     psi = _random_field(grid512, rng)
     back = np.fft.ifftn(np.fft.fftn(psi.values))

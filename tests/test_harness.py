@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import solitonlab.evolve as ev
 import solitonlab.harness as hn
 from solitonlab.field import FieldState, h1_norm, inner
 from solitonlab.harness import (ROW_FIELDS, build_initial_state, compare,
@@ -198,6 +199,7 @@ def test_perturbed_start_extraction_shifts():
     cfg = _base_cfg(t_final=0.0, perturb_amplitude=0.5)
     rec = scenario_run(cfg)
     assert not rec.summary["partial"]
+    assert rec.summary["error"] is None
     assert abs(rec.rows["q1"][0] - 3.0) < 0.5 * math.sqrt(cfg.epsilon)
     assert rec.rows["phi_H1"][0] == pytest.approx(
         0.5 * math.sqrt(cfg.epsilon), rel=1e-6)
@@ -213,11 +215,23 @@ def test_partial_run_marking(monkeypatch):
             raise ExtractionError("synthetic failure")
         return real(*a, **kw)
 
+    steps = []
+    real_block = ev.Stepper.step_block
+
+    def counting(self, vals, n_steps):
+        steps.append(n_steps)
+        return real_block(self, vals, n_steps)
+
     monkeypatch.setattr(hn, "extract", failing)
-    rec = scenario_run(_base_cfg(t_final=1.0, extraction_cadence=100))
+    monkeypatch.setattr(ev.Stepper, "step_block", counting)
+    cfg = _base_cfg(t_final=1.0, extraction_cadence=100)
+    rec = scenario_run(cfg)
     assert rec.summary["partial"]
-    assert rec.summary["t_fail"] is not None
+    assert rec.summary["t_fail"] == pytest.approx(0.2)
+    assert rec.summary["error"] == "synthetic failure"
     assert len(rec.rows["t"]) == 2   # t = 0 and one successful sample
+    # stepping stops at the failed sample instead of running to t_final
+    assert sum(steps) == 200 < round(cfg.t_final / cfg.dt)
 
 
 def test_sweep_requires_three_eps():

@@ -5,11 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from solitonlab.field import Grid
-from solitonlab.mech import (MechError, MechOrbit, MechState,
+from solitonlab.harness import compare, epsilon_sweep
+from solitonlab.mech import (MIN_STEPS, MechError, MechOrbit, MechState,
                              build_effective_potential, critical_margin,
                              critical_values, mech_energy, mech_run, mech_step,
-                             orbit_distance)
-from solitonlab.model import PotentialModel
+                             orbit_distance, orbit_steps)
+from solitonlab.model import NonlinearityModel, PotentialModel, SimulationConfig
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,76 @@ def test_orbit_distance_is_level_set_distance(well_veff):
         d = orbit_distance(off, orbit, eps)
         assert d == pytest.approx(math.sqrt(eps) * delta, rel=1e-9)
         assert d == pytest.approx(dh / (math.sqrt(eps) * slope), rel=1e-3)
+
+
+def test_orbit_distance_matches_densified_polyline(well_veff, rng):
+    # a coarse orbit (200 samples per period, 2.5 loops) against the brute-force
+    # minimum over every 1/1000 of each segment.  The dense points lie on the
+    # polyline, so they never beat the exact distance d; the nearest one sits
+    # at most h/2 (h the longest sub-step) along the segment from the foot,
+    # so by Pythagoras it is at most sqrt(d^2 + h^2/4) away.  A search limited
+    # to the segments next to the nearest sample is up to 9x off on these points.
+    eps = 1e-3
+    curvature = np.max(np.abs(well_veff._spline(well_veff.grid.axes[0], 2)))
+    period = 2 * math.pi / math.sqrt(eps * curvature)
+    orbit = mech_run(MechState([0.0], [3.0]), 1.0, eps, well_veff,
+                     dt=period / 200, t_final=2.5 * period)
+    z = np.column_stack([orbit.ps[:, 0], math.sqrt(eps) * orbit.qs[:, 0]])
+    dz = np.diff(z, axis=0)
+    s = np.arange(1000) / 1000
+    dense = np.vstack([(z[:-1, None] + s[:, None] * dz[:, None]).reshape(-1, 2), z[-1:]])
+    half_sub = np.max(np.linalg.norm(dz, axis=1)) / 2000
+    for _ in range(200):
+        i = rng.integers(len(orbit.ts))
+        scale = 10.0 ** rng.uniform(-5, -1)
+        pt = MechState(orbit.ps[i] + scale * rng.standard_normal(1),
+                       orbit.qs[i] + scale * rng.standard_normal(1) / math.sqrt(eps))
+        d = orbit_distance(pt, orbit, eps)
+        w = np.array([pt.p[0], math.sqrt(eps) * pt.q[0]])
+        brute = math.sqrt(np.min(np.sum((dense - w) ** 2, axis=1)))
+        assert d <= brute * (1 + 1e-12)
+        assert brute <= math.sqrt(d * d + half_sub**2) * (1 + 1e-12)
+
+
+def test_orbit_steps_floor_and_target(family, grid512, well_veff):
+    # where the leapfrog is exact (eps = 0, or a flat V^eff) the sample count
+    # is the floor whatever the horizon
+    flat = build_effective_potential(PotentialModel(), family.profile_on_grid(1.0, grid512),
+                                     grid512, mass=1.0)
+    for veff, eps in ((well_veff, 0.0), (flat, 1e-2)):
+        for t_final in (5.0, 50.0, 5000.0):
+            n = orbit_steps(veff, 1.0, eps, t_final)
+            orbit = mech_run(MechState([1e-3], [0.0]), 1.0, eps, veff,
+                             dt=t_final / n, t_final=t_final)
+            assert len(orbit.ts) == MIN_STEPS + 1
+    # in the well the count follows the horizon, and the eps = 1e-3
+    # acceptance orbit (T = 5/eps) is no coarser than 200,000 steps
+    assert orbit_steps(well_veff, 1.0, 1e-3, 5000.0) >= 200_000
+    assert orbit_steps(well_veff, 1.0, 1e-3, 500.0) < 25_000
+
+
+def test_sized_orbit_matches_fine_orbit_on_sweep():
+    # the benchmark's sweep (horizon 0.5/eps, dt 4e-3, 100 samples): each
+    # member's max d_eps against its sized orbit is within 1e-3 of that
+    # against a 200,000-step orbit from the same start; members come back in
+    # descending eps although the pool gets the longest first
+    base = SimulationConfig(
+        model=NonlinearityModel("power", sigma=1.0, c=2.0),
+        potential=PotentialModel.gaussians([(-1.0, [0.0], 2.0)]),
+        dim=1, grid_points=512, box_length=40 * math.pi, reference_energy=1.0,
+        dt=4e-3, extraction_cadence=50, p_init=(0, 0, 0, 0), q_init=(3.0, 0, 0, 0),
+        perturb_amplitude=0.5, perturb_kmax=2.0, seed=20260808)
+    res = epsilon_sweep(base, [1e-3, 1e-2, 4e-3], t0=0.5, threads=2,
+                        target_samples=100, keep_records=True)
+    assert [e["epsilon"] for e in res.entries] == [1e-2, 4e-3, 1e-3]
+    for rec in res.records:
+        cfg, orbit = rec.config, rec.orbit
+        assert len(orbit.ts) < 25_000
+        fine = mech_run(MechState(orbit.ps[0], orbit.qs[0]), rec.summary["m_used"],
+                        cfg.epsilon, rec.veff, dt=cfg.t_final / 200_000,
+                        t_final=cfg.t_final)
+        assert rec.summary["max_d_eps"] == pytest.approx(
+            compare(rec, fine)["max_d_eps"], rel=1e-3)
 
 
 def test_orbit_distance_empty():
