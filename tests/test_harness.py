@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -260,3 +262,45 @@ def test_strichartz_norms_recorded():
 
 def test_critical_margin_reported(short_run):
     assert short_run.summary["critical_margin"] > 0.2
+
+
+# -- golden pins ----------------------------------------------------------------------
+# Rows of two runs recorded before the extraction rewrite.  Regenerate with
+# `PYTHONPATH=src python tests/test_harness.py` only when a change of the
+# computed numbers is intended.
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_runs.json")
+CLOSE_COLS = ("p1", "p2", "p3", "p4", "q1", "q2", "q3", "q4", "H_mech",
+              "H_mech_drift", "phi_H1", "phi_L2", "d_eps")
+EXACT_COLS = ("mass", "H_total", "boundary_mass")     # evolve-level, bit for bit
+
+
+def _free_run_cfg():
+    """Criterion 2's free soliton to T = 5 (the `free_run` benchmark inputs)."""
+    return _base_cfg(grid_points=512, potential=PotentialModel(), epsilon=0.0,
+                     reference_energy=0.75, t_final=5.0, extraction_cadence=50,
+                     p_init=(0.4 * math.sqrt(0.75), 0, 0, 0), q_init=(0, 0, 0, 0))
+
+
+def _check_golden(rec, name):
+    want = json.loads(GOLDEN.read_text())[name]
+    for k in CLOSE_COLS:
+        np.testing.assert_allclose(rec.rows[k], want[k], rtol=0, atol=1e-9, err_msg=k)
+    for k in EXACT_COLS:
+        assert np.array_equal(rec.rows[k], want[k]), k
+
+
+def test_golden_short_run(short_run):
+    _check_golden(short_run, "short_run")
+
+
+def test_golden_free_run():
+    _check_golden(scenario_run(_free_run_cfg()), "free_run")
+
+
+if __name__ == "__main__":
+    runs = {"short_run": scenario_run(_base_cfg()),
+            "free_run": scenario_run(_free_run_cfg())}
+    GOLDEN.write_text(json.dumps(
+        {name: {k: rec.rows[k].tolist() for k in CLOSE_COLS + EXACT_COLS}
+         for name, rec in runs.items()}) + "\n")
