@@ -121,11 +121,8 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
     axis = cfg.potential.axis if cfg.potential.terms else 0
     e_used = family.energy_of_mass(m_used)
     b_used = family.profile_on_grid(e_used, grid)
-    if cfg.dim == 1:
-        veff = build_effective_potential(cfg.potential, b_used, grid, m_used)
-        veff_axis = veff
-    else:
-        veff = build_effective_potential(cfg.potential, b_used, grid, m_used)
+    veff = veff_axis = build_effective_potential(cfg.potential, b_used, grid, m_used)
+    if cfg.dim != 1:
         axis_grid = Grid(1, grid.n[axis], grid.length[axis])
         cut = [n // 2 for n in grid.n]
         idx = tuple(slice(None) if j == axis else cut[j] for j in range(grid.dim))
@@ -152,14 +149,15 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
     fields = []
 
     def observer(i, t, f):
-        """Record one sample; True (stop stepping) once extraction fails."""
+        """Record one sample; True (stop stepping) once extraction fails.
+        Sample 0 is psi0 itself, already extracted as dec0."""
         prev = state["prev"]
         dt_gap = t - state["t_prev"]
         guess = SolitonCoordinates(
             prev.p.copy(), prev.q + dt_gap * family.coordinate_rates(prev.p))
         try:
-            dec = extract(f, family, guess=guess,
-                          tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
+            dec = extract(f, family, guess=guess, tol=cfg.newton_tol,
+                          max_iter=cfg.newton_max_iter) if i else dec0
         except ExtractionError as e:
             state["partial"] = True
             state["t_fail"] = t
@@ -182,10 +180,8 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
         rows["d_eps"].append(de)
         rows["residual_max"].append(float(np.max(np.abs(dec.residual))))
         rows["newton_iters"].append(dec.newton_iters)
-        if want_s:
-            raw = FieldState(grid, project(dec.phi, family.tangents(dec.coords.p, grid)).values)
-            for s in want_s:
-                sn[s].append(w1s_norm(raw, s))
+        for s in want_s:
+            sn[s].append(w1s_norm(dec.phi, s))
         if keep_fields and (cfg.snapshot_cadence == 0
                             or i % max(cfg.snapshot_cadence, 1) == 0):
             fields.append((t, f.copy()))
@@ -273,21 +269,15 @@ def epsilon_sweep(base: SimulationConfig, eps_list, t0: float | None = None,
     if len(eps_list) < 3:
         raise ValueError("need >= 3 epsilon values for a slope fit")
     cfgs = [_sweep_cfg(base, e, t0, target_samples) for e in eps_list]
-    records = None
+    run = scenario_run if keep_records else _run_summary
     if threads > 1:
         # the smallest eps runs longest (horizon t0/eps): submit it first so
         # that no worker idles while it finishes; results keep the eps order
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            if keep_records:
-                records = list(ex.map(scenario_run, cfgs[::-1]))[::-1]
-                entries = [r.summary for r in records]
-            else:
-                entries = list(ex.map(_run_summary, cfgs[::-1]))[::-1]
-    elif keep_records:
-        records = [scenario_run(c) for c in cfgs]
-        entries = [r.summary for r in records]
+            out = list(ex.map(run, cfgs[::-1]))[::-1]
     else:
-        entries = [_run_summary(c) for c in cfgs]
+        out = [run(c) for c in cfgs]
+    entries = [r.summary for r in out] if keep_records else out
     ok = [e for e in entries if not e["partial"]]
     if len(ok) < 3:
         raise RuntimeError("fewer than 3 successful runs in the sweep")
@@ -313,10 +303,8 @@ def epsilon_sweep(base: SimulationConfig, eps_list, t0: float | None = None,
         for pair_key in ok[0]["strichartz"]:
             slopes[f"strichartz_{pair_key}"] = fit(
                 np.array([e["strichartz"][pair_key] for e in ok]))
-    out = SweepResult(entries=entries, slopes=slopes)
-    if keep_records:
-        out.records = records
-    return out
+    return SweepResult(entries=entries, slopes=slopes,
+                       records=out if keep_records else None)
 
 
 # -- Strichartz-style diagnostics ------------------------------------------------

@@ -278,11 +278,18 @@ _RUN_INTS = {"extraction_cadence", "newton_max_iter", "seed"}
 
 
 def load_config(path) -> SimulationConfig:
-    """Read the flat key=value config file ([model]/[potential]/[grid]/[run]/[output])."""
+    """Read the flat key=value config file ([model]/[potential]/[grid]/[run]/[output]).
+    A value that does not parse or that a model rejects is a ConfigError too."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError([f"config file not found: {path}"])
+    try:
+        return validate_config(SimulationConfig(**_config_kwargs(cp)))
+    except ValueError as e:             # ConfigError keeps its own list
+        raise ConfigError(getattr(e, "errors", [str(e)])) from e
+
+
+def _config_kwargs(cp: configparser.ConfigParser) -> dict:
     kw = {}
 
     if cp.has_section("model"):
@@ -332,8 +339,7 @@ def load_config(path) -> SimulationConfig:
         o = cp["output"]
         kw["output_dir"] = o.get("dir", "out")
         kw["snapshot_cadence"] = o.getint("snapshot_cadence", 0)
-
-    return validate_config(SimulationConfig(**kw))
+    return kw
 
 
 def config_hash(cfg: SimulationConfig) -> str:

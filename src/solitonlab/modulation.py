@@ -10,10 +10,10 @@ The chart writes psi = e^{q.JA}(eta_p + Pi_p phi).  Extraction solves the
 approximately block-diagonal (df/dp ~ -I, dg/dq ~ +I), which is what makes
 warm-started Newton reliable along a trajectory.
 
-phi in the returned decomposition is the reference-space coordinate
-(Pi_0-range) obtained by inverting Pi_p on Phi; the reported phi norms are
-those of the physical remainder Phi itself (= Pi_p phi), the quantity the
-long-time bounds control.
+phi in the returned decomposition is the physical remainder Phi = Pi_p phi,
+the quantity the long-time bounds control, so psi = e^{q.JA}(eta_p + phi).
+The reference-space coordinate is invert_projector(phi, tangents_p,
+tangents_0), computed only on request.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldState, h1_norm, l2_norm
-from .groundstate import SolitonFamily, SolitonTangents
+from .field import FieldState, h1_norm, l2_norm, momenta
+from .groundstate import (GroundStateError, SolitonFamily, SolitonParameters,
+                          SolitonTangents)
 
 __all__ = [
     "ExtractionError", "NewtonDivergenceError", "MaxIterExceededError",
@@ -61,9 +62,9 @@ class SolitonCoordinates:
 @dataclass
 class Decomposition:
     coords: SolitonCoordinates
-    phi: FieldState              # reference-space chart coordinate
-    residual: np.ndarray         # the 2(dim+1) orthogonality pairings of Phi
-    phi_h1: float                # norms of the physical remainder Pi_p phi
+    phi: FieldState              # physical remainder Phi = e^{-q.JA} psi - eta_p
+    residual: np.ndarray         # the 2(dim+1) orthogonality pairings of phi
+    phi_h1: float                # norms of phi
     phi_l2: float
     newton_iters: int
 
@@ -123,13 +124,16 @@ def invert_projector(phi_raw: FieldState, tangents_p: SolitonTangents,
 
 
 class _Workspace:
-    """Caches for one extraction: fft of psi, tangent bundles keyed by p."""
+    """Caches for one extraction: fft of psi, the last pull-back, tangent
+    bundles keyed by p."""
 
     def __init__(self, psi: FieldState, family: SolitonFamily):
         self.grid = psi.grid
         self.family = family
         self.psi_hat = np.fft.fftn(psi.values)
         self._tg = {}
+        self._q = None          # q of the cached pull-back _pb (spectrum _pb_hat)
+        self._pb = self._pb_hat = None
 
     def tangents(self, p) -> SolitonTangents:
         key = tuple(np.round(np.asarray(p, dtype=float), 14))
@@ -140,31 +144,38 @@ class _Workspace:
         return self._tg[key]
 
     def pulled_back(self, q) -> np.ndarray:
-        """e^{-q.JA} psi = e^{+i q4} psi(. + q_vec), spectrally."""
+        """e^{-q.JA} psi = e^{+i q4} psi(. + q_vec), spectrally; cached, not to be
+        modified."""
+        if self._q is not None and np.array_equal(q, self._q):
+            return self._pb
         g = self.grid
         ph = self.psi_hat
-        shift = 0.0
-        for j in range(g.dim):
-            if q[j] != 0.0:
-                shift = shift + g.k[j] * q[j]
-        if np.ndim(shift) or shift != 0.0:
+        shift = sum(g.k[j] * q[j] for j in range(g.dim) if q[j] != 0.0)
+        if np.ndim(shift):
             ph = ph * np.exp(1j * shift)
         out = np.fft.ifftn(ph)
         if q[3] != 0.0:
             out = out * np.exp(1j * q[3])
+        self._q, self._pb, self._pb_hat = np.array(q, dtype=float), out, ph
         return out
+
+    def q_derivative(self, q, j: int) -> np.ndarray:
+        """d/dq_j of e^{-q.JA} psi: the spectral d_j with the wavenumbers of
+        the shift itself (Nyquist kept), and i e^{-q.JA} psi for j = 4."""
+        P = self.pulled_back(q)
+        if j == 3:
+            return 1j * P
+        return np.fft.ifftn(1j * np.exp(1j * q[3]) * self.grid.k[j] * self._pb_hat)
 
     def residual(self, p, q) -> np.ndarray:
         """Pairings at (p, q); +inf vector for trial points outside the
         family's validity range (rejected by the Newton damping)."""
-        from .groundstate import GroundStateError
         n = 2 * (self.family.dim + 1)
         try:
             tg = self.tangents(p)
         except GroundStateError:
             return np.full(n, np.inf)
-        phi = self.pulled_back(q) - tg.eta
-        r = _pairings(tg, phi)
+        r = _pairings(tg, self.pulled_back(q) - tg.eta)
         return r if np.all(np.isfinite(r)) else np.full(n, np.inf)
 
 
@@ -175,32 +186,31 @@ def residuals(psi: FieldState, p, q, family: SolitonFamily) -> np.ndarray:
 
 
 def newton_jacobian(ws: _Workspace, p, q, h: float = 1e-6) -> np.ndarray:
-    """Centered finite-difference Jacobian of the residuals in (p, q)."""
-    act = ws.tangents(p).active
-    n = 2 * len(act)
-    J = np.empty((n, n))
-    col = 0
-    for j in act:
+    """Jacobian of the residuals in (p, q), columns (p_active, q_active).
+
+    Only the tangents depend on p and only the pull-back P = e^{-q.JA} psi on
+    q.  So a q-column is the pairings of dP/dq_k, exactly, and a p-column is
+    -<., t_k> plus the centred difference in p_k of the pairings of the fixed
+    Phi = P - eta_p.  Raises GroundStateError if p +- h leaves the family.
+    """
+    tg = ws.tangents(p)
+    phi = ws.pulled_back(q) - tg.eta
+    cols = []
+    for k in tg.active:
         pp, pm = p.copy(), p.copy()
-        pp[j] += h
-        pm[j] -= h
-        J[:, col] = (ws.residual(pp, q) - ws.residual(pm, q)) / (2.0 * h)
-        col += 1
-    for j in act:
-        qp, qm = q.copy(), q.copy()
-        qp[j] += h
-        qm[j] -= h
-        J[:, col] = (ws.residual(p, qp) - ws.residual(p, qm)) / (2.0 * h)
-        col += 1
-    return J
+        pp[k] += h
+        pm[k] -= h
+        cols.append((_pairings(ws.tangents(pp), phi) - _pairings(ws.tangents(pm), phi))
+                    / (2.0 * h) - _pairings(tg, tg.t[k]))
+    for k in tg.active:
+        cols.append(_pairings(tg, ws.q_derivative(q, k)))
+    return np.column_stack(cols)
 
 
 def initial_guess(psi: FieldState, family: SolitonFamily,
                   prev: SolitonCoordinates | None = None):
     """(coords, info): centroid position, spectral momenta, mass offset, and
     the gauge angle from the complex pairing with the guessed soliton."""
-    from .field import momenta
-
     g = psi.grid
     w = np.abs(psi.values) ** 2
     total = float(np.sum(w)) * g.cell
@@ -230,7 +240,7 @@ def initial_guess(psi: FieldState, family: SolitonFamily,
         L = g.length[j]
         q[j] = (q[j] + L / 2.0) % L - L / 2.0
 
-    eta_guess = family.build(_params(p_ref, q), g)
+    eta_guess = family.build(SolitonParameters(tuple(p_ref), tuple(q)), g)
     z = complex(np.sum(psi.values * np.conj(eta_guess.values)))
     q[3] = -np.angle(z)
 
@@ -239,11 +249,6 @@ def initial_guess(psi: FieldState, family: SolitonFamily,
         for j in range(g.dim):
             q[j] += g.length[j] * np.round((prev.q[j] - q[j]) / g.length[j])
     return SolitonCoordinates(p, q), info
-
-
-def _params(p, q):
-    from .groundstate import SolitonParameters
-    return SolitonParameters(tuple(p), tuple(q))
 
 
 def extract(psi: FieldState, family: SolitonFamily,
@@ -269,13 +274,14 @@ def extract(psi: FieldState, family: SolitonFamily,
     while rn > tol:
         if iters >= max_iter:
             raise MaxIterExceededError(f"newton: residual {rn:.3e} after {iters} iterations")
-        J = newton_jacobian(ws, p, q)
-        if not np.all(np.isfinite(J)):
-            raise NewtonDivergenceError("newton: jacobian hit the chart boundary")
         try:
-            delta = np.linalg.solve(J, -r)
+            delta = np.linalg.solve(newton_jacobian(ws, p, q), -r)
+        except GroundStateError as e:
+            raise NewtonDivergenceError(f"newton: jacobian hit the chart boundary ({e})") from e
         except np.linalg.LinAlgError as e:
             raise NewtonDivergenceError(f"newton: singular jacobian ({e})") from e
+        if not np.all(np.isfinite(delta)):
+            raise NewtonDivergenceError("newton: non-finite step")
         # step clamp: a wild trial cannot leave the family's validity range
         big = np.max(np.abs(delta))
         if big > 1.0:
@@ -305,19 +311,17 @@ def extract(psi: FieldState, family: SolitonFamily,
         iters += 1
 
     tg = ws.tangents(p)
-    phi_raw = FieldState(psi.grid, ws.pulled_back(q) - tg.eta)
-    phi_h1 = h1_norm(phi_raw)
+    phi = FieldState(psi.grid, ws.pulled_back(q) - tg.eta)
+    phi_h1 = h1_norm(phi)
     eta_h1 = h1_norm(FieldState(psi.grid, tg.eta))
     if phi_h1 > phi_frac_max * eta_h1:
         raise LeavesChartError(
             f"remainder H1 norm {phi_h1:.3e} exceeds {phi_frac_max} of the soliton's")
-    tg0 = ws.tangents(np.zeros(4))
-    phi = invert_projector(phi_raw, tg, tg0)
     return Decomposition(
         coords=SolitonCoordinates(p, q),
         phi=phi,
         residual=r,
         phi_h1=phi_h1,
-        phi_l2=l2_norm(phi_raw),
+        phi_l2=l2_norm(phi),
         newton_iters=iters,
     )

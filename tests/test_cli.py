@@ -104,7 +104,7 @@ def test_cli_partial_run_exit_code(cfg_file, tmp_path, monkeypatch):
 
     def failing(*a, **kw):
         calls.append(1)
-        if len(calls) > 2:
+        if len(calls) > 1:       # dec0 (also sample 0), then t = 0.1
             raise ExtractionError("synthetic failure")
         return real(*a, **kw)
 
@@ -143,6 +143,18 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[grid]\nn = 100\n")
     assert main(["--config", str(bad), "groundstate"]) == 1
+
+
+@pytest.mark.parametrize("old,new", [
+    ("kind = power", "kind = cubic"),
+    ("widths = 2.0", "widths = 0"),
+    ("seed = 4", "seed = x"),
+])
+def test_cli_bad_value_exit_code(cfg_file, capsys, old, new):
+    ini = cfg_file()
+    ini.write_text(ini.read_text().replace(old, new))
+    assert main(["--config", str(ini), "groundstate"]) == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_missing_config(tmp_path):

@@ -213,7 +213,7 @@ def test_partial_run_marking(monkeypatch):
 
     def failing(*a, **kw):
         calls["n"] += 1
-        if calls["n"] >= 4:
+        if calls["n"] >= 3:      # dec0 (also sample 0), t = 0.1, then t = 0.2
             raise ExtractionError("synthetic failure")
         return real(*a, **kw)
 
@@ -234,6 +234,15 @@ def test_partial_run_marking(monkeypatch):
     assert len(rec.rows["t"]) == 2   # t = 0 and one successful sample
     # stepping stops at the failed sample instead of running to t_final
     assert sum(steps) == 200 < round(cfg.t_final / cfg.dt)
+
+
+def test_one_extraction_per_sample(monkeypatch):
+    # the initial extraction serves sample 0; no second solve of psi0
+    calls = []
+    real = hn.extract
+    monkeypatch.setattr(hn, "extract", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    rec = scenario_run(_base_cfg(t_final=0.5))
+    assert len(calls) == len(rec.rows["t"]) == 6
 
 
 def test_sweep_requires_three_eps():
@@ -265,7 +274,8 @@ def test_critical_margin_reported(short_run):
 
 
 # -- golden pins ----------------------------------------------------------------------
-# Rows of two runs recorded before the extraction rewrite.  Regenerate with
+# Rows of two runs, pinned so that a refactor of a hot path that moves them
+# fails here.  Regenerate with
 # `PYTHONPATH=src python tests/test_harness.py` only when a change of the
 # computed numbers is intended.
 

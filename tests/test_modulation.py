@@ -180,6 +180,26 @@ def test_newton_jacobian_block_structure(family, grid512):
     assert np.linalg.cond(J) < 10.0
 
 
+def test_newton_jacobian_matches_finite_differences(family, grid512, rng):
+    # off the chart point, with a generic remainder of L2 size 1e-2
+    p = np.array([0.2, 0, 0, 0.1])
+    q = np.array([1.3, 0, 0, 0.7])
+    tg = family.tangents(p, grid512)
+    noise = _bandlimited_noise(grid512, rng)
+    noise.values *= 1e-2 / l2_norm(noise)
+    ws = _Workspace(apply_symmetry(FieldState(grid512, tg.eta + noise.values), q), family)
+    h = 1e-6
+    ref = []
+    for k in (0, 3, 4, 7):                # (p1, p4, q1, q4)
+        z = np.concatenate([p, q])
+        zp, zm = z.copy(), z.copy()
+        zp[k] += h
+        zm[k] -= h
+        ref.append((ws.residual(zp[:4], zp[4:]) - ws.residual(zm[:4], zm[4:])) / (2 * h))
+    J = newton_jacobian(ws, p, q)
+    assert np.max(np.abs(J - np.column_stack(ref))) < 1e-8
+
+
 # -- initial guess ------------------------------------------------------------------
 
 def test_initial_guess_exact_soliton(family, grid512):
@@ -290,18 +310,25 @@ def test_extract_near_identity_scaling(family, grid512, rng):
     assert slope == pytest.approx(0.5, abs=0.2)
 
 
-def test_extract_reconstruction(family, grid512, rng):
+def test_extract_reconstruction(family, grid512, rng, monkeypatch):
+    # dec.phi is the physical remainder, psi = e^{q.JA}(eta_p + phi), found
+    # without a projector inversion
+    import solitonlab.modulation as mod
+    calls = []
+    monkeypatch.setattr(mod, "invert_projector", lambda *a, **kw: calls.append(a))
     p = np.array([0.25, 0, 0, 0.05])
     q = np.array([2.0, 0, 0, 1.5])
     phi = _orthogonal_noise(family, p, grid512, rng, 5e-3)
     tg = family.tangents(p, grid512)
     psi = apply_symmetry(FieldState(grid512, tg.eta + phi.values), q)
     dec = extract(psi, family)
+    assert calls == []
+    assert h1_norm(dec.phi) == dec.phi_h1
+    assert l2_norm(dec.phi) == dec.phi_l2
     tg_sol = family.tangents(dec.coords.p, grid512)
-    rebuilt = apply_symmetry(
-        FieldState(grid512, tg_sol.eta + project(dec.phi, tg_sol).values),
-        dec.coords.q)
-    assert l2_norm(FieldState(grid512, rebuilt.values - psi.values)) < 1e-10
+    rebuilt = apply_symmetry(FieldState(grid512, tg_sol.eta + dec.phi.values),
+                             dec.coords.q)
+    assert l2_norm(FieldState(grid512, rebuilt.values - psi.values)) < 1e-12
 
 
 def test_extract_equivariance(family, grid512, rng):
