@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: groundstate, masscurve, spectrum, simulate, mech, sweep, compare.
-Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 partial run.
+Exit codes: 0 ok, 1 config error, 2 numerical failure (an exception of the
+NUMERICAL_ERRORS family), 3 partial run.  Any other exception is a bug in the
+program and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ from .groundstate import (GroundStateError, check_h2, mass_curve,
 from .harness import (compare, epsilon_sweep, export_record, scenario_run,
                       write_csv)
 from .field import save_field
-from .mech import MechState, build_effective_potential, mech_run
+from .mech import MechError, MechState, build_effective_potential, mech_run
 from .model import ConfigError, load_config
 from .modulation import ExtractionError
-from .spectral import build_operators, check_h2_h3_h5, eigen_report
+from .spectral import SpectralError, build_operators, check_h2_h3_h5, eigen_report
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_PARTIAL = 0, 1, 2, 3
+
+# failures of the numerics, not of the program (exit 2)
+NUMERICAL_ERRORS = (GroundStateError, ExtractionError, BlowupError, MechError,
+                    SpectralError)
 
 
 def _outdir(args, cfg):
@@ -118,8 +124,13 @@ def cmd_mech(args, cfg):
 
 
 def cmd_sweep(args, cfg):
+    try:
+        eps_list = [float(v) for v in args.eps.split(",")]
+    except ValueError as e:
+        raise ConfigError([f"--eps: {e}"]) from e
+    if len(eps_list) < 3:
+        raise ConfigError(["--eps: need >= 3 epsilon values for a slope fit"])
     out = _outdir(args, cfg)
-    eps_list = [float(v) for v in args.eps.split(",")]
     res = epsilon_sweep(cfg, eps_list, t0=args.t0, threads=args.threads)
     with open(os.path.join(out, "sweep_summary.json"), "w") as fh:
         json.dump({"entries": res.entries, "slopes": res.slopes},
@@ -190,8 +201,7 @@ def main(argv=None) -> int:
         for msg in e.errors:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GroundStateError, ExtractionError, BlowupError, ValueError,
-            RuntimeError) as e:
+    except NUMERICAL_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

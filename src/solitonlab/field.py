@@ -17,6 +17,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 __all__ = [
     "Grid", "FieldState", "GridMismatchError",
@@ -114,13 +115,13 @@ def l2_norm(psi: FieldState) -> float:
 def gradient(psi: FieldState):
     """Spectral gradient, one FieldState per axis (Nyquist zeroed)."""
     g = psi.grid
-    ph = np.fft.fftn(psi.values)
-    return [FieldState(g, np.fft.ifftn(1j * g.k_deriv[j] * ph)) for j in range(g.dim)]
+    ph = sfft.fftn(psi.values)
+    return [FieldState(g, sfft.ifftn(1j * g.k_deriv[j] * ph)) for j in range(g.dim)]
 
 
 def h1_norm(psi: FieldState) -> float:
     g = psi.grid
-    ph = np.fft.fftn(psi.values)
+    ph = sfft.fftn(psi.values)
     s = np.sum((1.0 + g.k2) * np.abs(ph) ** 2) * g.cell / g.size
     return float(np.sqrt(s))
 
@@ -128,8 +129,8 @@ def h1_norm(psi: FieldState) -> float:
 def sobolev_norm(psi: FieldState, s: float, k: float = 0.0) -> float:
     """|| <x>^k (1 - Lap)^{s/2} psi ||_L2 with spectral fractional powers."""
     g = psi.grid
-    ph = np.fft.fftn(psi.values)
-    u = np.fft.ifftn((1.0 + g.k2) ** (s / 2.0) * ph)
+    ph = sfft.fftn(psi.values)
+    u = sfft.ifftn((1.0 + g.k2) ** (s / 2.0) * ph)
     if k != 0.0:
         x2 = sum(xj**2 for xj in g.x)
         u = (1.0 + x2) ** (k / 2.0) * u
@@ -165,7 +166,7 @@ def momenta(psi: FieldState) -> np.ndarray:
     """(P_1, P_2, P_3, P_4): P_j = ∫ conj(psi) i d_j psi = -sum k_j |psi_hat|^2,
     P_4 = ∫ |psi|^2.  Components beyond the grid dimension are zero."""
     g = psi.grid
-    ph2 = np.abs(np.fft.fftn(psi.values)) ** 2
+    ph2 = np.abs(sfft.fftn(psi.values)) ** 2
     w = g.cell / g.size
     out = np.zeros(4)
     for j in range(g.dim):
@@ -182,14 +183,14 @@ def apply_symmetry(psi: FieldState, q) -> FieldState:
         return psi.copy()
     if not np.any(q[:3]):
         return FieldState(g, psi.values * np.exp(-1j * q[3]))
-    ph = np.fft.fftn(psi.values)
+    ph = sfft.fftn(psi.values)
     shift = 0.0
     for j in range(g.dim):
         if q[j] != 0.0:
             shift = shift + g.k[j] * q[j]
     if np.ndim(shift) or shift != 0.0:
         ph = ph * np.exp(-1j * shift)
-    out = np.fft.ifftn(ph)
+    out = sfft.ifftn(ph)
     if q[3] != 0.0:
         out = out * np.exp(-1j * q[3])
     return FieldState(g, out)
@@ -202,8 +203,8 @@ def apply_A(psi: FieldState, j: int) -> FieldState:
         return psi.copy()
     if not 1 <= j <= g.dim:
         raise ValueError(f"A_{j} undefined on a dim-{g.dim} grid")
-    ph = np.fft.fftn(psi.values)
-    return FieldState(g, np.fft.ifftn(-g.k_deriv[j - 1] * ph))
+    ph = sfft.fftn(psi.values)
+    return FieldState(g, sfft.ifftn(-g.k_deriv[j - 1] * ph))
 
 
 def boundary_mass_fraction(psi: FieldState, width: int = 5) -> float:

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
+import scipy.fft as sfft
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
@@ -110,7 +110,7 @@ def profile_residual(profile: GroundStateProfile, model: NonlinearityModel) -> f
         full = np.concatenate([b[:0:-1], b[:-1]])
         n = len(full)
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-        lap = np.fft.ifft(-(k**2) * np.fft.fft(full)).real
+        lap = sfft.ifft(-(k**2) * sfft.fft(full)).real
         res = -lap - model.beta_prime(full**2) * full + E * full
         return float(np.sqrt(h * np.sum(res**2)))
     # 3D: Lap b = (r b)'' / r via DST of the odd extension of u = r b
@@ -118,8 +118,8 @@ def profile_residual(profile: GroundStateProfile, model: NonlinearityModel) -> f
     interior = u[1:-1]
     m = len(interior)
     kj = np.pi * np.arange(1, m + 1) / (r[-1] - r[0])
-    uhat = dst(interior, type=1)
-    upp = dst(-(kj**2) * uhat, type=1) / (2.0 * (m + 1))
+    uhat = sfft.dst(interior, type=1)
+    upp = sfft.dst(-(kj**2) * uhat, type=1) / (2.0 * (m + 1))
     res = -upp / r[1:-1] - model.beta_prime(b[1:-1] ** 2) * b[1:-1] + E * b[1:-1]
     return float(np.sqrt(4.0 * np.pi * h * np.sum(res**2 * r[1:-1] ** 2)))
 
@@ -268,14 +268,14 @@ def petviashvili_ground_state(model: NonlinearityModel, energy: float,
     res_prev = np.inf
     for it in range(max_iter):
         Nu = nlin(u)
-        uhat = dst(u, type=1)
-        Nhat = dst(Nu, type=1)
+        uhat = sfft.dst(u, type=1)
+        Nhat = sfft.dst(Nu, type=1)
         num = np.sum(sym * uhat * uhat)
         den = np.sum(uhat * Nhat)
         if den <= 0:
             raise GroundStateError("petviashvili stabilizer lost positivity")
         gam = num / den
-        u_new = dst(Nhat / sym, type=1) / (2.0 * (m + 1)) * gam**theta
+        u_new = sfft.dst(Nhat / sym, type=1) / (2.0 * (m + 1)) * gam**theta
         delta = np.max(np.abs(u_new - u)) / np.max(np.abs(u_new))
         u = u_new
         if delta < tol:
@@ -537,9 +537,9 @@ class SolitonFamily:
         px = sum(p[j] * grid.x[j] for j in range(self.dim))
         t[3] = phase_factor * (1j * px / (4.0 * mt**2) * b + 0.5 * dEdm * dbdE) \
             + np.zeros(grid.n, complex)
-        eta_hat = np.fft.fftn(eta)
+        eta_hat = sfft.fftn(eta)
         for j in range(self.dim):
-            A_eta[j] = np.fft.ifftn(-grid.k_deriv[j] * eta_hat)
+            A_eta[j] = sfft.ifftn(-grid.k_deriv[j] * eta_hat)
         A_eta[3] = eta
         return SolitonTangents(p=p, mtilde=mt, energy=E, grid=grid, eta=eta,
                                t=t, A_eta=A_eta, active=self._active())
@@ -572,11 +572,11 @@ class SolitonFamily:
         """L2 norm of -Lap eta + grad H_P(eta) - lambda^j A_j eta."""
         eta, b, E, mt = self.build_centered(params.p, grid)
         lam = self.lambda_multipliers(params)
-        eta_hat = np.fft.fftn(eta)
-        res = np.fft.ifftn(grid.k2 * eta_hat)                     # -Lap eta
+        eta_hat = sfft.fftn(eta)
+        res = sfft.ifftn(grid.k2 * eta_hat)                       # -Lap eta
         res = res - self.model.beta_prime(np.abs(eta) ** 2) * eta  # grad H_P
         for j in range(self.dim):
-            A_j = np.fft.ifftn(-grid.k_deriv[j] * eta_hat)
+            A_j = sfft.ifftn(-grid.k_deriv[j] * eta_hat)
             res = res - lam[j] * A_j
         res = res - lam[3] * eta
         return float(np.sqrt(grid.cell * np.sum(np.abs(res) ** 2)))

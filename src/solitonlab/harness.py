@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import evolve as ev
 from .field import FieldState, Grid, h1_norm, w1s_norm, apply_symmetry
@@ -24,7 +25,7 @@ from .modulation import (ExtractionError, SolitonCoordinates, extract,
                          project)
 
 __all__ = [
-    "RunRecord", "SweepResult", "make_family", "build_initial_state",
+    "ScenarioError", "RunRecord", "SweepResult", "make_family", "build_initial_state",
     "scenario_run", "epsilon_sweep", "is_admissible", "strichartz_diagnostic",
     "compare", "export_record", "write_csv", "read_csv", "ROW_FIELDS",
 ]
@@ -32,6 +33,14 @@ __all__ = [
 ROW_FIELDS = ("t", "p1", "p2", "p3", "p4", "q1", "q2", "q3", "q4",
               "H_mech", "H_mech_drift", "phi_H1", "phi_L2", "d_eps",
               "residual_max", "newton_iters", "mass", "H_total", "boundary_mass")
+
+
+
+class ScenarioError(ExtractionError):
+    """A run the chart cannot carry: a perturbation draw with no part off the
+    tangent span, or a sweep with fewer than 3 members that kept their
+    extraction to the end."""
+
 
 # conserved functionals of the field itself (the evolve-level diagnostics)
 CONS_FIELDS = ("P1", "P2", "P3", "P4")
@@ -79,12 +88,12 @@ def build_perturbation(grid: Grid, family: SolitonFamily, p_bar, size: float,
     spec = (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
     mask = sum(kj**2 for kj in grid.k) <= kmax**2
     spec = np.where(mask, spec, 0.0)
-    raw = FieldState(grid, np.fft.ifftn(spec))
+    raw = FieldState(grid, sfft.ifftn(spec))
     tg = family.tangents(np.asarray(p_bar, dtype=float), grid)
     proj = project(raw, tg)
     nrm = h1_norm(proj)
     if nrm == 0.0:
-        raise ValueError("degenerate perturbation draw")
+        raise ScenarioError("degenerate perturbation draw")
     return proj.values * (size / nrm)
 
 
@@ -280,7 +289,7 @@ def epsilon_sweep(base: SimulationConfig, eps_list, t0: float | None = None,
     entries = [r.summary for r in out] if keep_records else out
     ok = [e for e in entries if not e["partial"]]
     if len(ok) < 3:
-        raise RuntimeError("fewer than 3 successful runs in the sweep")
+        raise ScenarioError("fewer than 3 successful runs in the sweep")
 
     slopes = {}
     eps = np.array([e["epsilon"] for e in ok])

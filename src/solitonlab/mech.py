@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 from .field import Grid
@@ -102,9 +103,9 @@ def build_effective_potential(potential: PotentialModel, b_grid: np.ndarray,
     if max(edge) > 1e-8 * np.max(b2):
         raise MechError("soliton density not decayed at the box edge (wrap-around)")
     V = np.broadcast_to(potential(*grid.x), grid.n) if potential.terms else np.zeros(grid.n)
-    conv = np.fft.ifftn(np.fft.fftn(V) * np.fft.fftn(np.fft.ifftshift(b2))).real * grid.cell
-    ghat = np.fft.fftn(conv)
-    grad = [np.fft.ifftn(1j * grid.k_deriv[j] * ghat).real for j in range(grid.dim)]
+    conv = sfft.ifftn(sfft.fftn(V) * sfft.fftn(np.fft.ifftshift(b2))).real * grid.cell
+    ghat = sfft.fftn(conv)
+    grad = [sfft.ifftn(1j * grid.k_deriv[j] * ghat).real for j in range(grid.dim)]
     return EffectivePotential(mass=mass, grid=grid, values=conv, grad=grad)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 from .field import FieldState, h1_norm, l2_norm, momenta
 from .groundstate import (GroundStateError, SolitonFamily, SolitonParameters,
@@ -130,7 +131,7 @@ class _Workspace:
     def __init__(self, psi: FieldState, family: SolitonFamily):
         self.grid = psi.grid
         self.family = family
-        self.psi_hat = np.fft.fftn(psi.values)
+        self.psi_hat = sfft.fftn(psi.values)
         self._tg = {}
         self._q = None          # q of the cached pull-back _pb (spectrum _pb_hat)
         self._pb = self._pb_hat = None
@@ -153,7 +154,7 @@ class _Workspace:
         shift = sum(g.k[j] * q[j] for j in range(g.dim) if q[j] != 0.0)
         if np.ndim(shift):
             ph = ph * np.exp(1j * shift)
-        out = np.fft.ifftn(ph)
+        out = sfft.ifftn(ph)
         if q[3] != 0.0:
             out = out * np.exp(1j * q[3])
         self._q, self._pb, self._pb_hat = np.array(q, dtype=float), out, ph
@@ -165,7 +166,7 @@ class _Workspace:
         P = self.pulled_back(q)
         if j == 3:
             return 1j * P
-        return np.fft.ifftn(1j * np.exp(1j * q[3]) * self.grid.k[j] * self._pb_hat)
+        return sfft.ifftn(1j * np.exp(1j * q[3]) * self.grid.k[j] * self._pb_hat)
 
     def residual(self, p, q) -> np.ndarray:
         """Pairings at (p, q); +inf vector for trial points outside the

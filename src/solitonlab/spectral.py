@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.linalg import eigh
 
 from .groundstate import GroundStateProfile, solve_ground_state
@@ -106,23 +107,22 @@ def kernel_residuals(profile: GroundStateProfile, model: NonlinearityModel,
         x = -r_max + h * np.arange(n)
         b = profile(np.abs(x))
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-        bh = np.fft.fft(b)
-        lap_b = np.fft.ifft(-(k**2) * bh).real
-        db = np.fft.ifft(1j * k * bh).real
-        lap_db = np.fft.ifft(-(k**2) * np.fft.fft(db)).real
+        bh = sfft.fft(b)
+        lap_b = sfft.ifft(-(k**2) * bh).real
+        db = sfft.ifft(1j * k * bh).real
+        lap_db = sfft.ifft(-(k**2) * sfft.fft(db)).real
         lp = -lap_b + (E - model.beta_prime(b**2)) * b
         lm = -lap_db + (E - model.beta_prime(b**2) - 2 * model.beta_second(b**2) * b**2) * db
         return (np.linalg.norm(lp) / np.linalg.norm(b),
                 np.linalg.norm(lm) / np.linalg.norm(db))
     # 3D: act on the reduced waves u = r b (sector 0) and u = r b' (sector 1)
-    from scipy.fft import dst
     h = r_max / n
     r = h * np.arange(1, n)
     b = profile(r)
     kj = np.pi * np.arange(1, n) / r_max
 
     def reduced_apply(u, extra):
-        upp = dst(-(kj[: len(u)] ** 2) * dst(u, type=1), type=1) / (2.0 * (len(u) + 1))
+        upp = sfft.dst(-(kj[: len(u)] ** 2) * sfft.dst(u, type=1), type=1) / (2.0 * (len(u) + 1))
         return -upp + (E - model.beta_prime(b**2) + extra) * u
 
     u0 = r * b

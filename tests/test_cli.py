@@ -5,7 +5,14 @@ import sys
 
 import pytest
 
+import solitonlab.cli as cli
 from solitonlab.cli import main
+from solitonlab.evolve import BlowupError
+from solitonlab.groundstate import GroundStateError
+from solitonlab.harness import ScenarioError
+from solitonlab.mech import MechError
+from solitonlab.modulation import ExtractionError, NewtonDivergenceError
+from solitonlab.spectral import SpectralError
 
 BASE_INI = """
 [model]
@@ -139,6 +146,12 @@ def test_cli_sweep(cfg_file, tmp_path):
     assert "slopes" in data and len(data["entries"]) == 3
 
 
+@pytest.mark.parametrize("eps", ["0.01,0.004", "0.01,x,0.001"])
+def test_cli_bad_sweep_eps_exit_code(cfg_file, capsys, eps):
+    assert main(["--config", str(cfg_file()), "sweep", "--eps", eps]) == 1
+    assert "config error: --eps" in capsys.readouterr().err
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[grid]\nn = 100\n")
@@ -176,6 +189,30 @@ reference_energy = 1.0
 dir = {}
 """.format(tmp_path / "out"))
     assert main(["--config", str(ini), "groundstate"]) == 2
+
+
+def _raise(exc):
+    def fail(*a, **kw):
+        raise exc("synthetic failure")
+    return fail
+
+
+@pytest.mark.parametrize("exc", [GroundStateError, ExtractionError, NewtonDivergenceError,
+                                 BlowupError, MechError, SpectralError, ScenarioError],
+                         ids=lambda c: c.__name__)
+def test_cli_numerical_family_exit_code(cfg_file, capsys, monkeypatch, exc):
+    monkeypatch.setattr(cli, "solve_ground_state", _raise(exc))
+    assert main(["--config", str(cfg_file()), "groundstate"]) == 2
+    assert "numerical failure: synthetic failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [TypeError, ValueError, RuntimeError, KeyError],
+                         ids=lambda c: c.__name__)
+def test_cli_programming_error_propagates(cfg_file, monkeypatch, exc):
+    # a bug is not a numerical failure: it must surface, not exit 2
+    monkeypatch.setattr(cli, "solve_ground_state", _raise(exc))
+    with pytest.raises(exc, match="synthetic failure"):
+        main(["--config", str(cfg_file()), "groundstate"])
 
 
 def test_cli_entry_point_runs(cfg_file):

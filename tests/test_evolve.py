@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solitonlab.evolve import (BlowupError, Stepper, hamiltonian,
                                potential_on_grid, run, step)
@@ -12,6 +13,107 @@ from solitonlab.model import NonlinearityModel, PotentialModel
 
 def _sech(grid):
     return FieldState(grid, 1.0 / np.cosh(grid.x[0]) + 0j)
+
+
+def _reference_block(grid, dt, model, V, eps, vals, n_steps):
+    """The numpy.fft kernel step by step: per-axis transforms, a fresh array
+    per substep and the phase exp(-i dt (beta'(|psi|^2) - eps V))."""
+    V = np.zeros(grid.n) if V is None else V
+    lin_half = np.exp(0.5j * dt * grid.k2)
+    lin_full = lin_half**2
+
+    def nonlinear(v):
+        phase = model.beta_prime(np.abs(v) ** 2)
+        if eps != 0.0:
+            phase = phase - eps * V
+        return v * np.exp(-1j * dt * phase)
+
+    vals = np.fft.ifftn(lin_half * np.fft.fftn(vals))
+    for _ in range(n_steps - 1):
+        vals = nonlinear(vals)
+        vals = np.fft.ifftn(lin_full * np.fft.fftn(vals))
+    vals = nonlinear(vals)
+    return np.fft.ifftn(lin_half * np.fft.fftn(vals))
+
+
+def _kernel_pair(grid, model, V, eps, psi, blocks=3, n_steps=40, dt=1e-3):
+    st = Stepper(grid, dt, model, V, eps)
+    new, ref = psi.copy(), psi.copy()
+    for _ in range(blocks):
+        new = st.step_block(new, n_steps)
+        ref = _reference_block(grid, dt, model, V, eps, ref, n_steps)
+    return new, ref
+
+
+@pytest.mark.parametrize("model,eps", [
+    (NonlinearityModel("power", 1.0, 2.0), 1e-3),
+    (NonlinearityModel("saturable", 1.0, 2.0), 0.0),
+], ids=["cubic-well", "saturable-free"])
+def test_kernel_bit_identical_1d(grid512, model, eps):
+    V = potential_on_grid(PotentialModel.gaussians([(-1.0, [0.0], 2.0)]), grid512)
+    x = grid512.x[0]
+    psi = (1.0 / np.cosh(x - 3.0)) * np.exp(0.4j * x) + 0j
+    new, ref = _kernel_pair(grid512, model, V, eps, psi)
+    assert np.array_equal(new, ref)
+
+
+def test_kernel_matches_reference_3d():
+    grid = Grid(3, 16, 16.0)
+    model = NonlinearityModel("power", 0.5, 1.0)
+    V = potential_on_grid(PotentialModel.gaussians([(-1.0, [0.0, 0.0, 0.0], 2.0)]), grid)
+    r2 = sum(xj**2 for xj in grid.x)
+    psi = np.broadcast_to(1.5 * np.exp(-0.5 * r2) * np.exp(0.3j * grid.x[0]), grid.n) + 0j
+    new, ref = _kernel_pair(grid, model, V, 1e-2, psi, blocks=2, n_steps=10)
+    assert np.max(np.abs(new - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim,n,length", [(1, 512, 40 * math.pi), (3, 16, 16.0)],
+                         ids=["1d", "3d"])
+def test_step_block_leaves_input_unchanged(cubic, dim, n, length):
+    grid = Grid(dim, n, length)
+    r2 = sum(xj**2 for xj in grid.x)
+    vals = np.broadcast_to(np.exp(-0.5 * r2) * np.exp(0.3j * grid.x[0]), grid.n) + 0j
+    keep = vals.copy()
+    out = Stepper(grid, 1e-3, cubic).step_block(vals, 5)
+    assert np.array_equal(vals, keep)
+    assert not np.shares_memory(out, vals)
+
+
+# smooth random fields: a few low Fourier modes on top of a sech envelope
+_GRID128 = Grid(1, 128, 16 * math.pi)
+_coeffs = st.lists(st.complex_numbers(max_magnitude=0.5, allow_nan=False,
+                                      allow_infinity=False),
+                   min_size=7, max_size=7)
+
+
+def _smooth_field(coeffs):
+    x = _GRID128.x[0]
+    modes = sum(c * np.exp(1j * k * x)
+                for c, k in zip(coeffs, _GRID128.k_axes[0][np.r_[-3:4]]))
+    return (1.0 + modes) / np.cosh(0.5 * x) + 0j
+
+
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(coeffs=_coeffs, dt=st.floats(1e-4, 5e-3), eps=st.floats(0.0, 5e-2))
+def test_property_time_reversal(cubic, coeffs, dt, eps):
+    V = potential_on_grid(PotentialModel.gaussians([(-1.0, [0.0], 2.0)]), _GRID128)
+    psi = _smooth_field(coeffs)
+    fwd = Stepper(_GRID128, dt, cubic, V, eps).step_block(psi, 20)
+    back = Stepper(_GRID128, -dt, cubic, V, eps).step_block(fwd, 20)
+    assert np.max(np.abs(back - psi)) < 1e-12
+
+
+@_PROPERTY
+@given(coeffs=_coeffs, dt=st.floats(1e-4, 5e-3), eps=st.floats(0.0, 5e-2))
+def test_property_mass_conserved(cubic, coeffs, dt, eps):
+    V = potential_on_grid(PotentialModel.gaussians([(-1.0, [0.0], 2.0)]), _GRID128)
+    psi = _smooth_field(coeffs)
+    out = Stepper(_GRID128, dt, cubic, V, eps).step_block(psi, 50)
+    m0, m1 = np.sum(np.abs(psi) ** 2), np.sum(np.abs(out) ** 2)
+    assert abs(m1 - m0) < 1e-13 * m0
 
 
 def test_hamiltonian_zero_field(cubic, grid512):

@@ -7,7 +7,7 @@ import pytest
 
 import solitonlab.evolve as ev
 import solitonlab.harness as hn
-from solitonlab.field import FieldState, h1_norm, inner
+from solitonlab.field import FieldState, Grid, h1_norm, inner
 from solitonlab.harness import (ROW_FIELDS, build_initial_state, compare,
                                 epsilon_sweep, export_record, is_admissible,
                                 make_family, read_csv, scenario_run,
@@ -248,6 +248,25 @@ def test_one_extraction_per_sample(monkeypatch):
 def test_sweep_requires_three_eps():
     with pytest.raises(ValueError, match=">= 3"):
         epsilon_sweep(_base_cfg(), [1e-2, 4e-3])
+
+
+def test_sweep_too_few_successes_is_numerical(monkeypatch):
+    # members that lost their extraction leave no fit: a numerical failure
+    monkeypatch.setattr(hn, "_run_summary", lambda cfg: {"partial": True})
+    with pytest.raises(hn.ScenarioError, match="fewer than 3"):
+        epsilon_sweep(_base_cfg(), [1e-2, 4e-3, 1e-3])
+
+
+def test_degenerate_perturbation_is_numerical():
+    # a zero draw leaves nothing off the tangent span to normalise
+    class ZeroRng:
+        def standard_normal(self, n):
+            return np.zeros(n)
+
+    cfg = _base_cfg()
+    grid = Grid(1, cfg.grid_points, cfg.box_length)
+    with pytest.raises(hn.ScenarioError, match="degenerate"):
+        hn.build_perturbation(grid, make_family(cfg), np.zeros(4), 0.5, 2.0, ZeroRng())
 
 
 def test_sweep_tiny_slopes():
