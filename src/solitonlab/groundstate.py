@@ -58,7 +58,7 @@ class GroundStateProfile:
             self.mass = mass_of(self)
         if np.isnan(self.decay_rate):
             self.decay_rate = self._fit_decay()
-        self._spline = None
+        self._log_b = None
 
     def _fit_decay(self) -> float:
         # slope of -log b over the outer region where b is still well above
@@ -79,17 +79,27 @@ class GroundStateProfile:
         r = np.abs(np.asarray(r, dtype=float))
         if self.exact is not None:
             return self.exact(r)
-        if self._spline is None:
-            logb = np.log(self.b)
-            self._spline = CubicSpline(self.r, logb, bc_type=((1, 0.0), "not-a-knot"))
-            k = max(2, len(self.r) // 10)
-            self._tail_slope = (logb[-1] - logb[-1 - k]) / (self.r[-1] - self.r[-1 - k])
-            self._tail_ref = (self.r[-1], logb[-1])
+        if self._log_b is None:
+            self._log_b = _RadialSpline(self.r, np.log(self.b))
+        return np.exp(self._log_b(r))
+
+
+class _RadialSpline:
+    """Interpolant of radial samples y(r): a cubic spline, even at r = 0,
+    continued past the last sample along the line through the outer tenth.
+    Linear in y, so it commutes with differences of y."""
+
+    def __init__(self, r: np.ndarray, y: np.ndarray):
+        self._spline = CubicSpline(r, y, bc_type=((1, 0.0), "not-a-knot"))
+        k = max(2, len(r) // 10)
+        self._r_end, self._y_end = r[-1], y[-1]
+        self._slope = (y[-1] - y[-1 - k]) / (r[-1] - r[-1 - k])
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
         out = np.empty_like(r)
-        inside = r <= self.r[-1]
-        out[inside] = np.exp(self._spline(r[inside]))
-        r0, l0 = self._tail_ref
-        out[~inside] = np.exp(l0 + self._tail_slope * (r[~inside] - r0))
+        inside = r <= self._r_end
+        out[inside] = self._spline(r[inside])
+        out[~inside] = self._y_end + self._slope * (r[~inside] - self._r_end)
         return out
 
 
@@ -141,6 +151,21 @@ def _closed_form_1d(model: NonlinearityModel, energy: float):
         return amp * _sech(a * np.asarray(r, dtype=float)) ** (1.0 / sg)
 
     return b
+
+
+def _closed_form_dE_1d(model: NonlinearityModel, energy: float, r, b):
+    """(d b/dE, d^2 b/dE^2) of the closed form at radii r, given b there.
+
+    With a = sigma sqrt(E), d log b/dE = g = 1/(2 sigma E) - r tanh(a r)/(2 sqrt E),
+    so b_E = b g and b_EE = b (g^2 + g')."""
+    sg = model.sigma
+    rt = math.sqrt(energy)
+    th = np.tanh(sg * rt * r)
+    g = 1.0 / (2.0 * sg * energy) - r * th / (2.0 * rt)
+    dg = (-1.0 / (2.0 * sg * energy**2) - sg * r**2 * (1.0 - th * th) / (4.0 * energy)
+          + r * th / (4.0 * energy * rt))
+    b_E = b * g
+    return b_E, b_E * g + b * dg
 
 
 def _shoot_once(model, energy, dim, b0, r_max, rtol=1e-12, atol=1e-14):
@@ -332,12 +357,18 @@ class MassCurve:
 
     def __post_init__(self):
         self._interp = PchipInterpolator(self.energies, self.masses)
+        self._slope = self._interp.derivative()
+        self._curvature = self._interp.derivative(2)
 
     def mass_at(self, energy: float) -> float:
         return float(self._interp(energy))
 
     def slope_at(self, energy: float) -> float:
-        return float(self._interp.derivative()(energy))
+        return float(self._slope(energy))
+
+    def curvature_at(self, energy: float) -> float:
+        """d^2 m/dE^2 of the interpolant (piecewise continuous)."""
+        return float(self._curvature(energy))
 
 
 def mass_curve(model: NonlinearityModel, e_lo: float, e_hi: float,
@@ -396,15 +427,37 @@ class SolitonParameters:
 
 @dataclass
 class SolitonTangents:
-    """eta_p and its p-derivatives on a grid (the chart's linear data)."""
+    """eta_p = u b, with b the profile at E(m~), and its p-derivatives on a
+    grid (the chart's linear data), plus what its second p-derivatives need."""
     p: np.ndarray
-    mtilde: float
+    mtilde: float                 # m~ = m + p4/2
     energy: float
     grid: Grid
     eta: np.ndarray               # centered eta_p
     t: list                       # d eta / d p_j, None on inactive axes
     A_eta: list                   # A_j eta (None on inactive axes); A_4 eta = eta
     active: tuple                 # indices (0-based) of active p components
+    u: np.ndarray                 # e^{-i p.x / (2 m~)}
+    b: np.ndarray                 # b, d b/dE, d^2 b/dE^2 at E(m~)
+    b_E: np.ndarray
+    b_EE: np.ndarray
+    dE_dm: float                  # E'(m~), E''(m~)
+    d2E_dm2: float
+
+    def dt(self, l: int, k: int) -> np.ndarray:
+        """d t_l / d p_k (0-based, active indices; symmetric in l and k)."""
+        x, mt = self.grid.x, self.mtilde
+        if l != 3 and k != 3:
+            return -(x[l] * x[k] / (4.0 * mt**2)) * self.eta
+        if l != k:                # one spatial index j, one p4
+            j = min(l, k)
+            return 1j * x[j] * (self.eta / (4.0 * mt**2) - self.t[3] / (2.0 * mt))
+        px = sum(self.p[j] * x[j] for j in range(self.grid.dim))
+        E1, E2 = self.dE_dm, self.d2E_dm2
+        return 1j * px / (4.0 * mt**2) * self.t[3] + self.u * (
+            -1j * px / (4.0 * mt**3) * self.b
+            + (1j * px * E1 / (8.0 * mt**2) + E2 / 4.0) * self.b_E
+            + E1**2 / 4.0 * self.b_EE)
 
 
 class SolitonFamily:
@@ -448,10 +501,15 @@ class SolitonFamily:
         return self.curve.mass_at(energy)
 
     def dE_dm(self, mtot: float) -> float:
+        return self._mass_derivatives(self.energy_of_mass(mtot), mtot)[0]
+
+    def _mass_derivatives(self, energy: float, mtot: float):
+        """(E'(m), E''(m)) at total mass mtot = m(energy)."""
         if self._analytic:
-            E = self.energy_of_mass(mtot)
-            return 1.0 / (self._K * self._expo * E ** (self._expo - 1.0))
-        return 1.0 / self.curve.slope_at(self.energy_of_mass(mtot))
+            alpha = 1.0 / self._expo                 # E = (m/K)^alpha
+            return alpha * energy / mtot, alpha * (alpha - 1.0) * energy / mtot**2
+        s1, s2 = self.curve.slope_at(energy), self.curve.curvature_at(energy)
+        return 1.0 / s1, -s2 / s1**3
 
     def profile(self, energy: float) -> GroundStateProfile:
         key = round(float(energy), 14)
@@ -490,33 +548,44 @@ class SolitonFamily:
                 f"profile not decayed at box edge: b(edge)/b(0) = {edge / prof.b[0]:.2e}")
         return prof(self._radius(grid))
 
-    def dbdE_on_grid(self, energy: float, grid: Grid) -> np.ndarray:
-        """Centered difference in E with one Richardson extrapolation step."""
+    def dbdE_on_grid(self, energy: float, grid: Grid, b: np.ndarray):
+        """(d b/dE, d^2 b/dE^2) on the grid, given b = profile_on_grid(energy).
+
+        Closed form for the 1D power family.  Otherwise the log-profiles at
+        E, E +- h and E +- h/2 (h = 1e-4 E) are differenced on their own
+        radial grid, d log b/dE by one Richardson step and d^2 log b/dE^2 at
+        step h, and each is sampled once; the profile's interpolant is linear
+        in log b, so these are the E-derivatives of profile_on_grid."""
+        r = self._radius(grid)
+        if self._analytic:
+            return _closed_form_dE_1d(self.model, energy, r, b)
         hE = 1e-4 * energy
-
-        def diff(h):
-            return (self.profile_on_grid(energy + h, grid)
-                    - self.profile_on_grid(energy - h, grid)) / (2.0 * h)
-
-        d1 = diff(hE)
-        d2 = diff(0.5 * hE)
-        return (4.0 * d2 - d1) / 3.0
+        lb = {s: np.log(self.profile(energy + s * hE).b) for s in (-1.0, -0.5, 0.0, 0.5, 1.0)}
+        g = (8.0 * (lb[0.5] - lb[-0.5]) - (lb[1.0] - lb[-1.0])) / (6.0 * hE)
+        dg = (lb[1.0] - 2.0 * lb[0.0] + lb[-1.0]) / hE**2
+        r_prof = self.profile(energy).r
+        g, dg = _RadialSpline(r_prof, g)(r), _RadialSpline(r_prof, dg)(r)
+        b_E = b * g
+        return b_E, b_E * g + b * dg
 
     # soliton construction
     def _active(self):
         return tuple(range(self.dim)) + (3,)
 
-    def build_centered(self, p, grid: Grid):
-        """eta_p (at q = 0) and its ingredients."""
-        p = np.asarray(p, dtype=float)
+    def _centered(self, p, grid: Grid):
+        """(u, b, E, m~) of eta_p = u b at q = 0."""
         mt = self.m_ref + p[3] / 2.0
         if mt <= 0:
             raise GroundStateError("m + p4/2 must stay positive")
         E = self.energy_of_mass(mt)
         b = self.profile_on_grid(E, grid)
         phase = sum(p[j] * grid.x[j] for j in range(self.dim)) / (2.0 * mt)
-        eta = np.exp(-1j * phase) * b + np.zeros(grid.n, complex)
-        return eta, b, E, mt
+        return np.exp(-1j * phase), b, E, mt
+
+    def build_centered(self, p, grid: Grid):
+        """eta_p (at q = 0) and its ingredients."""
+        u, b, E, mt = self._centered(np.asarray(p, dtype=float), grid)
+        return u * b + np.zeros(grid.n, complex), b, E, mt
 
     def build(self, params: SolitonParameters, grid: Grid) -> FieldState:
         eta, _, _, _ = self.build_centered(params.p, grid)
@@ -525,31 +594,24 @@ class SolitonFamily:
     def tangents(self, p, grid: Grid) -> SolitonTangents:
         """eta_p, d eta/d p_j and A_j eta_p, all centered at q = 0."""
         p = np.asarray(p, dtype=float)
-        eta, b, E, mt = self.build_centered(p, grid)
-        phase = sum(p[j] * grid.x[j] for j in range(self.dim)) / (2.0 * mt)
-        phase_factor = np.exp(-1j * phase)
+        u, b, E, mt = self._centered(p, grid)
+        eta = u * b + np.zeros(grid.n, complex)
         t = [None, None, None, None]
         A_eta = [None, None, None, None]
         for j in range(self.dim):
             t[j] = -1j * grid.x[j] / (2.0 * mt) * eta + np.zeros(grid.n, complex)
-        dbdE = self.dbdE_on_grid(E, grid)
-        dEdm = self.dE_dm(mt)
+        b_E, b_EE = self.dbdE_on_grid(E, grid, b)
+        dEdm, d2Edm2 = self._mass_derivatives(E, mt)
         px = sum(p[j] * grid.x[j] for j in range(self.dim))
-        t[3] = phase_factor * (1j * px / (4.0 * mt**2) * b + 0.5 * dEdm * dbdE) \
+        t[3] = u * (1j * px / (4.0 * mt**2) * b + 0.5 * dEdm * b_E) \
             + np.zeros(grid.n, complex)
         eta_hat = sfft.fftn(eta)
         for j in range(self.dim):
             A_eta[j] = sfft.ifftn(-grid.k_deriv[j] * eta_hat)
         A_eta[3] = eta
         return SolitonTangents(p=p, mtilde=mt, energy=E, grid=grid, eta=eta,
-                               t=t, A_eta=A_eta, active=self._active())
-
-    def tangent(self, params: SolitonParameters, j: int, grid: Grid) -> FieldState:
-        """d eta_p / d p_j as a field (j in 1..4)."""
-        tg = self.tangents(params.p, grid)
-        if tg.t[j - 1] is None:
-            raise GroundStateError(f"p_{j} inactive in dim {self.dim}")
-        return FieldState(grid, tg.t[j - 1])
+                               t=t, A_eta=A_eta, active=self._active(), u=u, b=b,
+                               b_E=b_E, b_EE=b_EE, dE_dm=dEdm, d2E_dm2=d2Edm2)
 
     def lambda_multipliers(self, params: SolitonParameters) -> np.ndarray:
         p = np.asarray(params.p, dtype=float)

@@ -223,6 +223,9 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
         "mass_drift_rel": float(np.max(np.abs(rows["mass"] - mass0)) / mass0) if n else float("nan"),
         "h_total_drift": float(np.max(np.abs(rows["H_total"] - rows["H_total"][0]))) if n else float("nan"),
         "max_boundary_mass": float(np.max(rows["boundary_mass"])) if n else float("nan"),
+        # entry i counts the samples whose extraction took i Newton iterations
+        "newton_iters_hist": np.bincount(rows["newton_iters"].astype(int)).tolist(),
+        "residual_max": float(np.max(rows["residual_max"])) if n else float("nan"),
         "partial": state["partial"],
         "t_fail": state["t_fail"],
         "error": state["error"],

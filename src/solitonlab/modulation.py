@@ -186,24 +186,30 @@ def residuals(psi: FieldState, p, q, family: SolitonFamily) -> np.ndarray:
     return ws.residual(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
 
 
-def newton_jacobian(ws: _Workspace, p, q, h: float = 1e-6) -> np.ndarray:
-    """Jacobian of the residuals in (p, q), columns (p_active, q_active).
+def newton_jacobian(ws: _Workspace, p, q) -> np.ndarray:
+    """Jacobian of the residuals in (p, q), columns (p_active, q_active), exact.
 
     Only the tangents depend on p and only the pull-back P = e^{-q.JA} psi on
-    q.  So a q-column is the pairings of dP/dq_k, exactly, and a p-column is
-    -<., t_k> plus the centred difference in p_k of the pairings of the fixed
-    Phi = P - eta_p.  Raises GroundStateError if p +- h leaves the family.
+    q.  A q-column is the pairings of dP/dq_k.  With Phi = P - eta_p, a
+    p-column is [<A_l t_k, Phi>]_l ++ [<i d t_l/d p_k, Phi>]_l - <., t_k>,
+    where d t_l/d p_k is the closed form SolitonTangents.dt and
+    <A_l t_k, Phi> = <t_k, A_l Phi> (A_l is symmetric in the bracket), so Phi
+    is transformed once.
     """
     tg = ws.tangents(p)
+    g, act = ws.grid, tg.active
     phi = ws.pulled_back(q) - tg.eta
+    phi_hat = sfft.fftn(phi)
+    A_phi = [phi if l == 3 else sfft.ifftn(-g.k_deriv[l] * phi_hat) for l in act]
+    g_dt = np.empty((len(act), len(act)))          # <i d t_l/d p_k, Phi>, symmetric
+    for a, l in enumerate(act):
+        for c in range(a, len(act)):
+            g_dt[a, c] = g_dt[c, a] = _bracket(g.cell, 1j * tg.dt(l, act[c]), phi)
     cols = []
-    for k in tg.active:
-        pp, pm = p.copy(), p.copy()
-        pp[k] += h
-        pm[k] -= h
-        cols.append((_pairings(ws.tangents(pp), phi) - _pairings(ws.tangents(pm), phi))
-                    / (2.0 * h) - _pairings(tg, tg.t[k]))
-    for k in tg.active:
+    for c, k in enumerate(act):
+        f = [_bracket(g.cell, tg.t[k], A) for A in A_phi]
+        cols.append(np.concatenate([f, g_dt[:, c]]) - _pairings(tg, tg.t[k]))
+    for k in act:
         cols.append(_pairings(tg, ws.q_derivative(q, k)))
     return np.column_stack(cols)
 

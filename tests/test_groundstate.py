@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from solitonlab.field import Grid, momenta
 from solitonlab.groundstate import (GroundStateError, GroundStateProfile,
-                                    SolitonParameters, check_h2,
+                                    SolitonFamily, SolitonParameters, check_h2,
                                     energy_of_mass, mass_curve, mass_of,
                                     petviashvili_ground_state,
                                     shoot_ground_state, solve_ground_state)
@@ -230,20 +230,20 @@ def test_build_wraparound_guard(family):
 
 
 def test_tangent_p4_at_rest_is_real(family, grid512):
-    t4 = family.tangent(SolitonParameters(), 4, grid512)
-    assert np.max(np.abs(t4.values.imag)) < 1e-12
+    t4 = family.tangents(np.zeros(4), grid512).t[3]
+    assert np.max(np.abs(t4.imag)) < 1e-12
     # d eta/d p4 = (1/2) d b/d m at p = 0; for the cubic family
     # b(m) = m sech(m x): d b/d m = sech + m x sech'
     x = grid512.x[0]
     expect = 0.5 * (1.0 / np.cosh(x) - x * np.tanh(x) / np.cosh(x))
-    assert np.max(np.abs(t4.values.real - expect)) < 1e-6
+    assert np.max(np.abs(t4.real - expect)) < 1e-6
 
 
 def test_tangent_p1_at_rest(family, grid512):
-    t1 = family.tangent(SolitonParameters(), 1, grid512)
+    t1 = family.tangents(np.zeros(4), grid512).t[0]
     x = grid512.x[0]
     expect = -1j * x / 2.0 / np.cosh(x)
-    assert np.max(np.abs(t1.values - expect)) < 1e-12
+    assert np.max(np.abs(t1 - expect)) < 1e-12
 
 
 def test_tangent_duality_normalization(family, grid512):
@@ -257,7 +257,7 @@ def test_tangent_duality_normalization(family, grid512):
             tk = FieldState(grid512, tg.t[k_ - 1])
             val = inner(eta, apply_A(tk, j))
             want = 1.0 if j == k_ else 0.0
-            assert val == pytest.approx(want, abs=1e-6)
+            assert val == pytest.approx(want, abs=1e-12)
 
 
 def test_tangent_matches_finite_difference(family, grid512):
@@ -271,6 +271,37 @@ def test_tangent_matches_finite_difference(family, grid512):
               - family.build_centered(pm, grid512)[0]) / (2 * h)
         tg = family.tangents(p, grid512)
         assert np.max(np.abs(tg.t[j] - fd)) < 1e-7
+
+
+@pytest.mark.parametrize("model", [NonlinearityModel("power", sigma=1.0, c=2.0),
+                                   SQRT_MODEL], ids=["sigma1", "sigma0.5"])
+def test_closed_form_energy_derivatives(model, grid512):
+    # b_E and b_EE against centred differences of the sampled profile in E
+    fam = SolitonFamily(model, 1, m_ref=1.0)
+    E = 1.3
+    b_E, b_EE = fam.dbdE_on_grid(E, grid512, fam.profile_on_grid(E, grid512))
+    h1, h2 = 1e-5 * E, 3e-4 * E
+    fd1 = (fam.profile_on_grid(E + h1, grid512)
+           - fam.profile_on_grid(E - h1, grid512)) / (2 * h1)
+    fd2 = (fam.profile_on_grid(E + h2, grid512) - 2 * fam.profile_on_grid(E, grid512)
+           + fam.profile_on_grid(E - h2, grid512)) / h2**2
+    assert np.max(np.abs(b_E - fd1)) < 1e-9 * np.max(np.abs(b_E))
+    assert np.max(np.abs(b_EE - fd2)) < 1e-7 * np.max(np.abs(b_EE))
+
+
+def test_tangent_derivatives_match_finite_differences(family, grid512):
+    # d t_l / d p_k in closed form against centred differences of the tangents
+    p = np.array([0.2, 0, 0, 0.1])
+    h = 1e-5
+    tg = family.tangents(p, grid512)
+    for k in tg.active:
+        pp, pm = p.copy(), p.copy()
+        pp[k] += h
+        pm[k] -= h
+        up, dn = family.tangents(pp, grid512), family.tangents(pm, grid512)
+        for l in tg.active:
+            fd = (up.t[l] - dn.t[l]) / (2 * h)
+            assert np.max(np.abs(tg.dt(l, k) - fd)) < 1e-9 * np.max(np.abs(fd)), (l, k)
 
 
 def test_lambda_multipliers(family):

@@ -288,6 +288,16 @@ def test_strichartz_norms_recorded():
     assert "user_supplied_1d" in out[(2.0, 6.0)]["flags"]
 
 
+def test_newton_statistics_in_summary(short_run):
+    hist = short_run.summary["newton_iters_hist"]
+    iters = short_run.rows["newton_iters"]
+    assert hist == [int(np.sum(iters == i)) for i in range(len(hist))]
+    assert sum(hist) == len(short_run.rows["t"]) and hist[-1] > 0
+    assert short_run.summary["residual_max"] == np.max(short_run.rows["residual_max"])
+    assert short_run.summary["residual_max"] <= short_run.config.newton_tol
+    json.dumps(short_run.summary, default=float)
+
+
 def test_critical_margin_reported(short_run):
     assert short_run.summary["critical_margin"] > 0.2
 

@@ -62,8 +62,9 @@ def test_projector_output_is_orthogonal(family, grid512, rng):
 
 
 def test_projector_fixes_orthogonal_input(family, grid512, rng):
-    # floor ~1e-11: the p4 tangent is built by finite differences in E
-    # (h_E = 1e-4 E by design), which leaves ~5e-13 roundoff in the duality
+    # t_4 takes d b/dE in closed form, so Pi_p fixes its range to roundoff:
+    # measured 2.0e-14 relative.  The bound dates from a t_4 differenced in
+    # E, which left 6.4e-12.
     for p in (np.zeros(4), np.array([0.15, 0, 0, 0.0])):
         tg = family.tangents(p, grid512)
         phi = project(_bandlimited_noise(grid512, rng), tg)
@@ -379,17 +380,83 @@ def test_extract_diverges_on_far_guess(family, grid512):
         extract(psi, family, guess=far, max_iter=8)
 
 
-def test_extract_3d_chart_point():
-    # coarse 3D box: relax the wrap guard, recover an exact chart point
+@pytest.fixture(scope="module")
+def family3d():
+    """Coarse 3D box with a relaxed wrap guard: the family and its 32^3 grid."""
     model = NonlinearityModel("power", sigma=0.5, c=1.0)
     from solitonlab.groundstate import mass_curve
     curve = mass_curve(model, 0.7, 1.4, 5, dim=3, r_max=25.0, n=1024)
     fam = SolitonFamily(model, 3, m_ref=curve.mass_at(1.0), curve=curve,
                         r_max=25.0, n_r=1024, wrap_tol=1e-6)
-    grid = Grid(3, 32, 28.0)
-    p = np.array([0.1, -0.05, 0.02, 0.0])
-    q = np.array([0.8, 0.3, -0.5, 0.7])
-    psi = fam.build(SolitonParameters(tuple(p), tuple(q)), grid)
+    return fam, Grid(3, 32, 28.0)
+
+
+P3 = np.array([0.1, -0.05, 0.02, 0.0])
+Q3 = np.array([0.8, 0.3, -0.5, 0.7])
+
+
+def test_extract_3d_chart_point(family3d):
+    # recover an exact chart point
+    fam, grid = family3d
+    psi = fam.build(SolitonParameters(tuple(P3), tuple(Q3)), grid)
     dec = extract(psi, fam, tol=1e-9)
-    assert np.max(np.abs(dec.coords.p - p)) < 1e-6
-    assert np.max(np.abs(dec.coords.q - q)) < 1e-6
+    assert np.max(np.abs(dec.coords.p - P3)) < 1e-6
+    assert np.max(np.abs(dec.coords.q - Q3)) < 1e-6
+
+
+def test_tangent_derivatives_3d(family3d):
+    # d t_l / d p_k against centred differences of the tangents, every active
+    # pair.  The step is 1e-3 because t_4 holds a difference of the radial
+    # profiles in E: at 1e-5 its noise reaches 3e-8 in the (p4, p4) entry.
+    fam, grid = family3d
+    h = 1e-3
+    tg = fam.tangents(P3, grid)
+    for k in tg.active:
+        pp, pm = P3.copy(), P3.copy()
+        pp[k] += h
+        pm[k] -= h
+        up, dn = fam.tangents(pp, grid), fam.tangents(pm, grid)
+        for l in tg.active:
+            fd = (up.t[l] - dn.t[l]) / (2 * h)
+            assert np.max(np.abs(tg.dt(l, k) - fd)) < 1e-5 * np.max(np.abs(fd)), (l, k)
+
+
+def test_newton_jacobian_3d_matches_finite_differences(family3d, rng):
+    # the (g_4, p_4) entry sets the 1e-5 floor: the centred difference of the
+    # residual at h = 1e-5 differences t_4, itself a difference in E
+    fam, grid = family3d
+    tg = fam.tangents(P3, grid)
+    spec = np.fft.fftn(rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    spec[grid.k2 > 4.0] = 0.0
+    noise = np.fft.ifftn(spec)
+    noise *= 1e-2 / l2_norm(FieldState(grid, noise))
+    ws = _Workspace(apply_symmetry(FieldState(grid, tg.eta + noise), Q3), fam)
+    h = 1e-5
+    ref = []
+    for k in range(8):
+        z = np.concatenate([P3, Q3])
+        zp, zm = z.copy(), z.copy()
+        zp[k] += h
+        zm[k] -= h
+        ref.append((ws.residual(zp[:4], zp[4:]) - ws.residual(zm[:4], zm[4:])) / (2 * h))
+    J = newton_jacobian(ws, P3, Q3)
+    assert np.max(np.abs(J - np.column_stack(ref))) < 1e-5
+
+
+def test_one_iteration_extract_builds_two_tangents(family, grid512, monkeypatch):
+    # one bundle for the guess, one for the trial point; the Jacobian reuses
+    # the guess's bundle
+    p = np.array([0.2, 0, 0, 0.1])
+    q = np.array([1.3, 0, 0, 0.7])
+    psi = family.build(SolitonParameters(tuple(p), tuple(q)), grid512)
+    calls = []
+    orig = SolitonFamily.tangents
+
+    def counting(self, *a, **kw):
+        calls.append(a[0])
+        return orig(self, *a, **kw)
+
+    monkeypatch.setattr(SolitonFamily, "tangents", counting)
+    dec = extract(psi, family, guess=SolitonCoordinates(p, q + np.array([1e-6, 0, 0, 1e-6])))
+    assert dec.newton_iters == 1
+    assert len(calls) == 2
