@@ -24,7 +24,7 @@ from .field import save_field
 from .mech import MechError, MechState, build_effective_potential, mech_run
 from .model import ConfigError, load_config
 from .modulation import ExtractionError
-from .spectral import SpectralError, build_operators, check_h2_h3_h5, eigen_report
+from .spectral import SpectralError, check_h2_h3_h5
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_PARTIAL = 0, 1, 2, 3
 
@@ -72,14 +72,12 @@ def cmd_spectrum(args, cfg):
                              n=args.n, r_max=args.r_max)
     with open(os.path.join(out, "spectrum.json"), "w") as fh:
         json.dump(verdict, fh, indent=2, sort_keys=True, default=float)
-    prof = solve_ground_state(cfg.model, cfg.reference_energy, cfg.dim, r_max=args.r_max)
-    ops = build_operators(prof, cfg.model, n=args.n, r_max=args.r_max)
-    rep = eigen_report(ops)
     cols = {"operator": [], "sector": [], "index": [], "eigenvalue": []}
-    for (op, sec), w in rep.eigenvalues.items():
+    for key, w in verdict["spectral"]["eigenvalues"].items():
+        op, sec = key.split("_")
         for i, lam in enumerate(w):
             cols["operator"].append(0.0 if op == "plus" else 1.0)
-            cols["sector"].append(sec)
+            cols["sector"].append(int(sec))
             cols["index"].append(i)
             cols["eigenvalue"].append(lam)
     write_csv(os.path.join(out, "eigenvalues.csv"), cols)
@@ -108,8 +106,8 @@ def cmd_mech(args, cfg):
     grid = Grid(cfg.dim, cfg.grid_points, cfg.box_length)
     family = make_family(cfg)
     b = family.profile_on_grid(cfg.reference_energy, grid)
-    veff = build_effective_potential(cfg.potential, b, grid, family.m_ref)
     axis = cfg.potential.axis if cfg.potential.terms else 0
+    veff = build_effective_potential(cfg.potential, b, grid, family.m_ref).on_axis(axis)
     p0 = np.array([cfg.p_init[axis]])
     q0 = np.array([cfg.q_init[axis]])
     orbit = mech_run(MechState(p0, q0), family.m_ref, cfg.epsilon, veff,
@@ -117,9 +115,8 @@ def cmd_mech(args, cfg):
     write_csv(os.path.join(out, "orbit.csv"),
               {"t": orbit.ts, "p": orbit.ps[:, 0], "q": orbit.qs[:, 0],
                "H_mech": orbit.energies})
-    if cfg.dim == 1:
-        write_csv(os.path.join(out, "veff.csv"),
-                  {"q": veff.grid.axes[0], "Veff": veff.values, "dVeff": veff.grad[0]})
+    write_csv(os.path.join(out, "veff.csv"),
+              {"q": veff.grid.axes[0], "Veff": veff.values, "dVeff": veff.grad[0]})
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -62,6 +63,11 @@ class Grid:
             kd = self.k_axes[j].copy()
             kd[self.n[j] // 2] = 0.0
             self.k_deriv.append(shape(kd, j))
+
+    @cached_property
+    def radius(self) -> np.ndarray:
+        """|x| at every node, shape n."""
+        return np.sqrt(sum(xj**2 for xj in self.x)) + np.zeros(self.n)
 
     @property
     def size(self) -> int:

@@ -394,23 +394,17 @@ def check_h2(curve: MassCurve):
 
 
 def energy_of_mass(curve: MassCurve, m: float) -> float:
-    """Invert the (monotone) mass curve by bisection on the interpolant."""
+    """Invert the (monotone) mass curve: the one root of m(E) = m on the
+    interpolant, a piecewise cubic.  The root finder drops a root that
+    rounding puts just past an end of the range, so the two end energies
+    are candidates too; the candidate the interpolant maps nearest to m wins."""
     if not curve.monotone:
         raise GroundStateError("mass curve is not monotone: cannot invert")
     m_lo, m_hi = curve.masses[0], curve.masses[-1]
     if not (min(m_lo, m_hi) <= m <= max(m_lo, m_hi)):
         raise GroundStateError(f"mass {m} outside curve range [{m_lo}, {m_hi}]")
-    lo, hi = curve.energies[0], curve.energies[-1]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        mm = curve.mass_at(mid)
-        if abs(mm - m) <= 1e-12 * max(abs(m), 1e-30):
-            return mid
-        if mm < m:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    es = np.append(curve._interp.solve(m, extrapolate=False), curve.energies[[0, -1]])
+    return float(es[np.argmin(np.abs(curve._interp(es) - m))])
 
 
 # -- soliton family ------------------------------------------------------------
@@ -520,15 +514,6 @@ class SolitonFamily:
                 self._profiles.pop(next(iter(self._profiles)))
         return self._profiles[key]
 
-    # grid sampling
-    def _radius(self, grid: Grid):
-        key = id(grid)
-        if getattr(self, "_radius_key", None) != key:
-            self._radius_key = key
-            self._radius_arr = np.sqrt(sum(xj**2 for xj in grid.x)) \
-                + np.zeros(grid.n)
-        return self._radius_arr
-
     def profile_on_grid(self, energy: float, grid: Grid,
                         wrap_tol: float | None = None) -> np.ndarray:
         wrap_tol = self.wrap_tol if wrap_tol is None else wrap_tol
@@ -540,13 +525,13 @@ class SolitonFamily:
             if ratio > wrap_tol:
                 raise GroundStateError(
                     f"profile not decayed at box edge: b(edge)/b(0) = {ratio:.2e}")
-            return bfun(self._radius(grid))
+            return bfun(grid.radius)
         prof = self.profile(energy)
         edge = prof(edge_r)
         if edge > wrap_tol * prof.b[0]:
             raise GroundStateError(
                 f"profile not decayed at box edge: b(edge)/b(0) = {edge / prof.b[0]:.2e}")
-        return prof(self._radius(grid))
+        return prof(grid.radius)
 
     def dbdE_on_grid(self, energy: float, grid: Grid, b: np.ndarray):
         """(d b/dE, d^2 b/dE^2) on the grid, given b = profile_on_grid(energy).
@@ -556,7 +541,7 @@ class SolitonFamily:
         radial grid, d log b/dE by one Richardson step and d^2 log b/dE^2 at
         step h, and each is sampled once; the profile's interpolant is linear
         in log b, so these are the E-derivatives of profile_on_grid."""
-        r = self._radius(grid)
+        r = grid.radius
         if self._analytic:
             return _closed_form_dE_1d(self.model, energy, r, b)
         hE = 1e-4 * energy

@@ -130,13 +130,8 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
     axis = cfg.potential.axis if cfg.potential.terms else 0
     e_used = family.energy_of_mass(m_used)
     b_used = family.profile_on_grid(e_used, grid)
-    veff = veff_axis = build_effective_potential(cfg.potential, b_used, grid, m_used)
-    if cfg.dim != 1:
-        axis_grid = Grid(1, grid.n[axis], grid.length[axis])
-        cut = [n // 2 for n in grid.n]
-        idx = tuple(slice(None) if j == axis else cut[j] for j in range(grid.dim))
-        veff_axis = EffectivePotential(m_used, axis_grid, veff.values[idx],
-                                       [veff.grad[axis][idx]])
+    veff_axis = build_effective_potential(cfg.potential, b_used, grid,
+                                          m_used).on_axis(axis)
 
     axial = cfg.dim == 1 or (cfg.potential.is_axisymmetric()
                              and np.allclose(np.delete(dec0.coords.p[:3], axis), 0, atol=1e-9)
@@ -176,7 +171,7 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
         state["t_prev"] = t
         pax, qax = _axis_components(dec.coords, axis)
         hm = mech_energy(MechState(pax, qax), m_used, cfg.epsilon, veff_axis)
-        de = orbit_distance(MechState(pax, qax), orbit, cfg.epsilon) \
+        de = orbit_distance(MechState(pax, qax), orbit) \
             if orbit is not None else float("nan")
         rows["t"].append(t)
         for j in range(4):
@@ -368,7 +363,7 @@ def compare(record: RunRecord, orbit: MechOrbit) -> dict:
     d = np.array([
         orbit_distance(MechState(np.array([record.rows[f"p{axis + 1}"][i]]),
                                  np.array([record.rows[f"q{axis + 1}"][i]])),
-                       orbit, cfg.epsilon)
+                       orbit)
         for i in range(len(ts))
     ])
     q_mech = np.interp(ts, orbit.ts, orbit.qs[:, 0])

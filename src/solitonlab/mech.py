@@ -9,7 +9,8 @@ leapfrog energy errors stay bounded.  H_mech = |p|^2/(2m) + eps V^eff(q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -94,6 +95,16 @@ class EffectivePotential:
             return np.array([self._fast.deriv(float(q[0]))])
         return np.array([float(gs(q)[0]) for gs in self._gsplines])
 
+    def on_axis(self, axis: int) -> "EffectivePotential":
+        """The restriction to the line through the box centre along `axis`,
+        where the axial mechanics run (itself in 1D)."""
+        g = self.grid
+        if g.dim == 1:
+            return self
+        idx = tuple(slice(None) if j == axis else g.n[j] // 2 for j in range(g.dim))
+        return EffectivePotential(self.mass, Grid(1, g.n[axis], g.length[axis]),
+                                  self.values[idx], [self.grad[axis][idx]])
+
 
 def build_effective_potential(potential: PotentialModel, b_grid: np.ndarray,
                               grid: Grid, mass: float) -> EffectivePotential:
@@ -151,16 +162,14 @@ class MechOrbit:
     energies: np.ndarray
     mass: float
     eps: float
-    _weighted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def weighted_samples(self, eps: float):
+    @cached_property
+    def weighted_samples(self):
         """Samples as columns of z = (p, sqrt(eps) q), shape (2d, n), and the
-        segment lengths |z_{j+1} - z_j|, cached per eps."""
-        if eps not in self._weighted:
-            z = np.vstack([self.ps.T, math.sqrt(eps) * self.qs.T])
-            dz = np.diff(z, axis=1)
-            self._weighted[eps] = (z, np.sqrt(np.einsum("ij,ij->j", dz, dz)))
-        return self._weighted[eps]
+        segment lengths |z_{j+1} - z_j|."""
+        z = np.vstack([self.ps.T, math.sqrt(self.eps) * self.qs.T])
+        dz = np.diff(z, axis=1)
+        return z, np.sqrt(np.einsum("ij,ij->j", dz, dz))
 
     def period_estimate(self) -> float | None:
         """Mean spacing of upward mean-crossings of q[0] (None if not periodic)."""
@@ -221,16 +230,17 @@ def _mech_run_1d(state0, m, eps, veff, dt, n):
     return MechOrbit(ts, ps[:, None], qs[:, None], es, m, eps)
 
 
-def orbit_distance(point: MechState, orbit: MechOrbit, eps: float) -> float:
+def orbit_distance(point: MechState, orbit: MechOrbit) -> float:
     """Exact min of ||(p-p', q-q')||_eps over the piecewise-linear orbit
-    (||(p,q)||_eps^2 = sum p_k^2 + eps q_k^2).  In z = (p, sqrt(eps) q) the
-    norm is Euclidean and a segment's nearest point is the clipped projection
-    onto it; segment j is projected only if |x - z_j| - |z_{j+1} - z_j| is
-    below the nearest sample's distance, since otherwise none of it is nearer."""
+    (||(p,q)||_eps^2 = sum p_k^2 + eps q_k^2, eps = orbit.eps).  In
+    z = (p, sqrt(eps) q) the norm is Euclidean and a segment's nearest point
+    is the clipped projection onto it; segment j is projected only if
+    |x - z_j| - |z_{j+1} - z_j| is below the nearest sample's distance, since
+    otherwise none of it is nearer."""
     if len(orbit.ts) == 0:
         raise MechError("empty orbit")
-    z, seg_len = orbit.weighted_samples(eps)
-    r = z - np.concatenate([point.p, math.sqrt(eps) * point.q])[:, None]
+    z, seg_len = orbit.weighted_samples
+    r = z - np.concatenate([point.p, math.sqrt(orbit.eps) * point.q])[:, None]
     d2 = np.einsum("ij,ij->j", r, r)
     best2 = float(d2.min())
     j = np.flatnonzero(np.sqrt(d2[:-1]) - seg_len < math.sqrt(best2))
@@ -241,26 +251,13 @@ def orbit_distance(point: MechState, orbit: MechOrbit, eps: float) -> float:
 
 
 def critical_values(veff: EffectivePotential) -> np.ndarray:
-    """Critical values of V^eff on the axis: interior zeros of dV^eff plus the
-    value at infinity (0 for decaying potentials)."""
+    """Critical values of V^eff on the axis: V^eff at every root of the
+    spline's V^eff' plus the value at infinity (0 for decaying potentials).
+    A piece where V^eff' vanishes identically has NaN for its root."""
     if veff.grid.dim != 1:
         raise MechError("critical values implemented for the 1D/axial case")
-    x = veff.grid.axes[0]
-    dv = veff._dspline(x)
-    vals = [0.0]
-    sign = np.sign(dv)
-    for i in np.where(np.diff(sign) != 0)[0]:
-        # bisect the spline derivative on [x_i, x_i+1]
-        a, b = x[i], x[i + 1]
-        fa = veff._dspline(a)
-        for _ in range(80):
-            mdl = 0.5 * (a + b)
-            fm = veff._dspline(mdl)
-            if fa * fm <= 0:
-                b = mdl
-            else:
-                a, fa = mdl, fm
-        vals.append(float(veff._spline(0.5 * (a + b))))
+    q = veff._dspline.roots(extrapolate=False)
+    vals = np.concatenate([[0.0], veff._spline(q[~np.isnan(q)])])
     return np.unique(np.round(vals, 12))
 
 

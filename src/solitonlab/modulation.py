@@ -56,9 +56,6 @@ class SolitonCoordinates:
     p: np.ndarray
     q: np.ndarray                # q4 lives on the covering space (unwrapped)
 
-    def copy(self):
-        return SolitonCoordinates(self.p.copy(), self.q.copy())
-
 
 @dataclass
 class Decomposition:
@@ -261,15 +258,12 @@ def initial_guess(psi: FieldState, family: SolitonFamily,
 def extract(psi: FieldState, family: SolitonFamily,
             guess: SolitonCoordinates | None = None,
             tol: float = 1e-10, max_iter: int = 40,
-            phi_frac_max: float = 0.75,
-            prev: SolitonCoordinates | None = None) -> Decomposition:
-    """Newton-solve the orthogonality system; assemble the decomposition.
-
-    `prev` doubles as warm start and q4/q unwrapping reference.
-    """
+            phi_frac_max: float = 0.75) -> Decomposition:
+    """Newton-solve the orthogonality system from `guess` (by default the
+    moment-based initial guess); assemble the decomposition."""
     ws = _Workspace(psi, family)
     if guess is None:
-        guess = prev.copy() if prev is not None else initial_guess(psi, family)[0]
+        guess = initial_guess(psi, family)[0]
     p, q = np.asarray(guess.p, dtype=float).copy(), np.asarray(guess.q, dtype=float).copy()
 
     r = ws.residual(p, q)

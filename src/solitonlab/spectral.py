@@ -231,9 +231,9 @@ def check_h2_h3_h5(model: NonlinearityModel, energy: float, dim: int = 1,
                    **report_kw) -> dict:
     """Mass-curve slope at E, kernel structure, internal-mode scan: one verdict."""
     prof = solve_ground_state(model, energy, dim, r_max=r_max)
-    masses = [solve_ground_state(model, energy * (1 + s), dim, r_max=r_max).mass
-              for s in (-slope_step, 0.0, slope_step)]
-    dm_dE = (masses[2] - masses[0]) / (2.0 * slope_step * energy)
+    m_lo, m_hi = (solve_ground_state(model, energy * (1 + s), dim, r_max=r_max).mass
+                  for s in (-slope_step, slope_step))
+    dm_dE = (m_hi - m_lo) / (2.0 * slope_step * energy)
     ops = build_operators(prof, model, n=n, r_max=r_max)
     rep = eigen_report(ops, **report_kw)
     out = {

@@ -73,12 +73,33 @@ def test_cli_masscurve(cfg_file, tmp_path):
     assert data["h2_ok"] is True
 
 
-def test_cli_spectrum(cfg_file, tmp_path):
+def test_cli_spectrum(cfg_file, tmp_path, monkeypatch):
+    # the operators are diagonalised once; the CSV lists the verdict's eigenvalues
+    import solitonlab.spectral as spectral
+    calls = []
+
+    def counted(real):
+        def wrapper(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw)
+        return wrapper
+
+    for mod in (spectral, cli):                 # wherever a caller looks it up
+        if hasattr(mod, "eigen_report"):
+            monkeypatch.setattr(mod, "eigen_report", counted(mod.eigen_report))
     code = main(["--config", str(cfg_file()), "spectrum", "--n", "1024"])
     assert code == 0
+    assert len(calls) == 1
     data = json.loads((tmp_path / "out" / "spectrum.json").read_text())
     assert data["h2_ok"] and data["h3_ok"] and data["h5_ok"]
-    assert (tmp_path / "out" / "eigenvalues.csv").exists()
+    from solitonlab.harness import read_csv
+    rows = read_csv(tmp_path / "out" / "eigenvalues.csv")
+    expect = data["spectral"]["eigenvalues"]
+    for key, op in (("plus_0", 0.0), ("minus_0", 1.0)):
+        mine = (rows["operator"] == op) & (rows["sector"] == 0)
+        assert rows["index"][mine].tolist() == list(range(len(expect[key])))
+        assert rows["eigenvalue"][mine].tolist() == expect[key]
+    assert len(rows["eigenvalue"]) == sum(len(v) for v in expect.values())
 
 
 def test_cli_simulate(cfg_file, tmp_path):
@@ -128,6 +149,22 @@ def test_cli_mech(cfg_file, tmp_path):
     assert code == 0
     assert (tmp_path / "out" / "orbit.csv").exists()
     assert (tmp_path / "out" / "veff.csv").exists()
+
+
+def test_cli_mech_3d(cfg_file, tmp_path):
+    # 3D: the mechanics run on the symmetry axis, and V^eff is written there
+    ini = cfg_file(L=60.0, t_final=5.0)
+    text = (ini.read_text().replace("sigma = 1.0", "sigma = 0.5").replace("c = 2.0", "c = 1.0")
+            .replace("centers = 0.0", "centers = 0.0 0.0 0.0")
+            .replace("dim = 1", "dim = 3").replace("n = 256", "n = 16"))
+    ini.write_text(text)
+    assert main(["--config", str(ini), "mech"]) == 0
+    from solitonlab.harness import read_csv
+    veff = read_csv(tmp_path / "out" / "veff.csv")
+    assert len(veff["q"]) == 16 and veff["q"][8] == 0.0
+    assert veff["Veff"][8] == min(veff["Veff"])             # the well's centre
+    orbit = read_csv(tmp_path / "out" / "orbit.csv")
+    assert orbit["q"][0] == 3.0 and len(orbit["t"]) > 1
 
 
 def test_cli_compare(cfg_file, tmp_path):

@@ -146,17 +146,17 @@ def test_orbit_distance_weighted_norm(well_veff):
     orbit = mech_run(MechState([0.0], [3.0]), 1.0, eps, well_veff,
                      dt=0.05, t_final=400.0)
     on = MechState(orbit.ps[137].copy(), orbit.qs[137].copy())
-    assert orbit_distance(on, orbit, eps) < 1e-10
+    assert orbit_distance(on, orbit) < 1e-10
     mid_q = float(orbit.qs[137, 0])
     mid_p = float(orbit.ps[137, 0])
     far_p = MechState([mid_p + 0.5], [mid_q])
     far_q = MechState([mid_p], [mid_q + 0.5])
     # a pure-p displacement costs delta, a pure-q one sqrt(eps) delta, up to
     # the closest-approach gain along the curve
-    assert orbit_distance(far_p, orbit, eps) <= 0.5 + 1e-12
-    assert orbit_distance(far_q, orbit, eps) <= math.sqrt(eps) * 0.5 + 1e-12
-    assert orbit_distance(far_p, orbit, eps) > 0.2
-    assert orbit_distance(far_q, orbit, eps) > 0.2 * math.sqrt(eps)
+    assert orbit_distance(far_p, orbit) <= 0.5 + 1e-12
+    assert orbit_distance(far_q, orbit) <= math.sqrt(eps) * 0.5 + 1e-12
+    assert orbit_distance(far_p, orbit) > 0.2
+    assert orbit_distance(far_q, orbit) > 0.2 * math.sqrt(eps)
 
 
 def test_orbit_distance_displacement_from_point_orbit(well_veff):
@@ -164,9 +164,9 @@ def test_orbit_distance_displacement_from_point_orbit(well_veff):
     eps = 0.01
     single = MechOrbit(np.array([0.0]), np.array([[0.1]]), np.array([[2.0]]),
                        np.array([0.0]), 1.0, eps)
-    assert orbit_distance(MechState([0.1 + 0.3], [2.0]), single, eps) \
+    assert orbit_distance(MechState([0.1 + 0.3], [2.0]), single) \
         == pytest.approx(0.3, rel=1e-12)
-    assert orbit_distance(MechState([0.1], [2.0 + 0.3]), single, eps) \
+    assert orbit_distance(MechState([0.1], [2.0 + 0.3]), single) \
         == pytest.approx(math.sqrt(eps) * 0.3, rel=1e-12)
 
 
@@ -186,7 +186,7 @@ def test_orbit_distance_is_level_set_distance(well_veff):
         dh = (mech_energy(off, 1.0, eps, well_veff)
               - mech_energy(MechState([0.0], [q0]), 1.0, eps, well_veff))
         assert dh == pytest.approx(eps * slope * delta, rel=1e-3)
-        d = orbit_distance(off, orbit, eps)
+        d = orbit_distance(off, orbit)
         assert d == pytest.approx(math.sqrt(eps) * delta, rel=1e-9)
         assert d == pytest.approx(dh / (math.sqrt(eps) * slope), rel=1e-3)
 
@@ -213,7 +213,7 @@ def test_orbit_distance_matches_densified_polyline(well_veff, rng):
         scale = 10.0 ** rng.uniform(-5, -1)
         pt = MechState(orbit.ps[i] + scale * rng.standard_normal(1),
                        orbit.qs[i] + scale * rng.standard_normal(1) / math.sqrt(eps))
-        d = orbit_distance(pt, orbit, eps)
+        d = orbit_distance(pt, orbit)
         w = np.array([pt.p[0], math.sqrt(eps) * pt.q[0]])
         brute = math.sqrt(np.min(np.sum((dense - w) ** 2, axis=1)))
         assert d <= brute * (1 + 1e-12)
@@ -265,7 +265,7 @@ def test_orbit_distance_empty():
     orbit = MechOrbit(np.array([]), np.empty((0, 1)), np.empty((0, 1)),
                       np.array([]), 1.0, 1e-2)
     with pytest.raises(MechError, match="empty"):
-        orbit_distance(MechState([0.0], [0.0]), orbit, 1e-2)
+        orbit_distance(MechState([0.0], [0.0]), orbit)
 
 
 def test_critical_values_and_margin(well_veff):
@@ -274,6 +274,38 @@ def test_critical_values_and_margin(well_veff):
     assert any(abs(c - well_veff.value_at([0.0])) < 1e-6 for c in crit)
     h = 0.5 * well_veff.value_at([0.0])                      # half-depth level
     assert critical_margin(h, well_veff) > 0.2
+
+
+def test_critical_values_two_term_potential(family, grid512):
+    # a well and a bump: V^eff has a minimum and a maximum.  Oracle: the local
+    # extrema of the spline sampled 2000 times per grid interval; at that
+    # spacing a smooth extremum is missed by at most |V''| h^2 / 8 < 1e-8
+    pot = PotentialModel.gaussians([(-1.0, [0.0], 2.0), (0.4, [5.0], 1.5)])
+    veff = build_effective_potential(pot, family.profile_on_grid(1.0, grid512),
+                                     grid512, mass=1.0)
+    x = grid512.axes[0]
+    dense = veff._spline(np.linspace(x[0], x[-1], 2000 * (len(x) - 1) + 1))
+    inner = dense[1:-1]
+    ext = inner[((inner < dense[:-2]) & (inner < dense[2:]))
+                | ((inner > dense[:-2]) & (inner > dense[2:]))]
+    oracle = np.sort(ext[np.abs(ext) > 1e-9])            # the tails are roundoff
+    assert len(oracle) == 2 and oracle[0] < -1.0 < 0.5 < oracle[1]
+    crit = critical_values(veff)
+    assert np.all(crit == np.unique(crit))
+    assert np.any(np.abs(crit) < 1e-12)                   # the value at infinity
+    big = crit[np.abs(crit) > 1e-9]
+    assert big == pytest.approx(oracle, abs=1e-8)
+    assert critical_margin(0.0, veff) < 1e-12
+    assert critical_margin(0.3, veff) == pytest.approx(oracle[1] - 0.3, abs=1e-8)
+
+
+def test_critical_values_without_potential(family, grid512):
+    # V = 0: every piece of V^eff' is identically zero, so the root finder
+    # reports NaN for each; only the value at infinity is left
+    flat = build_effective_potential(PotentialModel(), family.profile_on_grid(1.0, grid512),
+                                     grid512, mass=1.0)
+    assert critical_values(flat).tolist() == [0.0]
+    assert critical_margin(0.25, flat) == 0.25
 
 
 def test_mech_3d_axis_invariance(family):

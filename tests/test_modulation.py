@@ -359,7 +359,7 @@ def test_extract_idempotent_reconstruction(family, grid512, rng):
     rebuilt = apply_symmetry(
         FieldState(grid512, tg_sol.eta + project(dec1.phi, tg_sol).values),
         dec1.coords.q)
-    dec2 = extract(rebuilt, family, prev=dec1.coords)
+    dec2 = extract(rebuilt, family, guess=dec1.coords)
     assert np.max(np.abs(dec2.coords.p - dec1.coords.p)) < 1e-10
     assert np.max(np.abs(dec2.coords.q - dec1.coords.q)) < 1e-10
 
