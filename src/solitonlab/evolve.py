@@ -19,18 +19,38 @@ writes exp(i phase) into one complex buffer as cos and sin.  In 1D this is
 bit for bit the arithmetic of numpy.fft.fftn and np.exp; in 3D it agrees
 with it to roundoff.
 
-Every substep conserves mass exactly; in float64 the step carries a
-per-step round-off with a fixed sign, about +1.2e-16 relative at N = 512.
-Its cause is the rounding of the FFT twiddle factors (fl(sqrt(2)/2) lies
-4.8e-17 above sqrt(2)/2, so |W_8|^2 = 1 + 1.37e-16): the same rounded
-constants act on every round trip, so the mass drift grows linearly with
-the step count (about 6e-10 after 5e6 steps).  numpy.fft and scipy.fft are
-both pocketfft and share the bias; a clongdouble transform removes it at
-roughly twice the cost per step.
+Threads: a 3D field is stepped on every CPU of the process's affinity set.
+The transforms take `workers=n`, and the nonlinear substep runs on n
+contiguous slabs along axis 0, one per thread, with the same elementwise
+arithmetic on each view; both give the one-thread result byte for byte.
+A 1D line is too short to split, and a worker of a process pool (the
+epsilon sweep) already has a core of its own, so both step on one thread:
+their slab list is `[slice(None)]` and no executor is opened.  The thread
+pool is opened and shut down by each `step_block` call, never kept at module
+level: a pool thread alive at a fork leaves the forked child a pool whose
+threads do not exist, and a child that steps through it waits for ever.
+
+Every substep conserves mass exactly in exact arithmetic; in float64 the
+step carries a per-step round-off with a fixed sign, about +1.2e-16
+relative at N = 512, so the mass drift grows linearly with the step count
+(about 6e-10 after 5e6 steps).  Two parts of the linear substep bias it:
+the multiplier exp(i theta), theta = tau k^2, whose |.|^2 - 1 is rounded
+from cos near 1 and averages +2.3e-17 over the soliton's spectrum, and the
+fixed-sign gain of the FFT round trip, which acts on all of psi.  An
+increment-form linear substep, psi + ifft(d fft(psi)) with
+d = e^{i theta} - 1 = -2 sin^2(theta/2) + i sin(theta), removes both: the
+sin form has no rounding bias, and the FFT's gain then acts only on the
+increment, of size O(theta) |psi|.  That change is still open; this kernel
+keeps the exp(i theta) arithmetic.
 """
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
+from time import perf_counter
 
 import numpy as np
 import scipy.fft as sfft
@@ -91,24 +111,35 @@ class Stepper:
             self._fft, self._ifft = sfft.fft, sfft.ifft
         else:
             self._fft, self._ifft = sfft.fftn, sfft.ifftn
-        self._rot = np.empty(grid.n, complex)
         self._max0 = None
+        # every CPU of the affinity set for a 3D field; one in 1D and in a
+        # worker of a process pool; a contiguous slab along axis 0 per thread
+        self.threads = (1 if grid.dim == 1 or multiprocessing.parent_process() is not None
+                        else min(len(os.sched_getaffinity(0)), grid.n[0]))
+        edges = np.linspace(0, grid.n[0], self.threads + 1).astype(int)
+        slabs = ([slice(None)] if self.threads == 1 else
+                 [slice(a, b) for a, b in zip(edges[:-1], edges[1:])])
+        rot = np.empty(grid.n, complex)
+        # (slice, its views of the rotation buffer and of eps V)
+        self._slabs = [(sl, rot[sl], None if self.epsV is None else self.epsV[sl])
+                       for sl in slabs]
 
     def _linear(self, vals, mult, overwrite):
-        h = self._fft(vals, overwrite_x=overwrite)
+        h = self._fft(vals, overwrite_x=overwrite, workers=self.threads)
         np.multiply(mult, h, out=h)
-        return self._ifft(h, overwrite_x=True)
+        return self._ifft(h, overwrite_x=True, workers=self.threads)
 
-    def _nonlinear(self, vals):
-        """vals *= exp(-i dt (beta'(|vals|^2) - eps V)), in place."""
-        phase = self.model.beta_prime(np.abs(vals) ** 2)
-        if self.epsV is not None:
-            phase -= self.epsV
+    def _nonlinear(self, vals, slab):
+        """vals[sl] *= exp(-i dt (beta'(|vals|^2) - eps V)), in place."""
+        sl, rot, epsV = slab
+        v = vals[sl]
+        phase = self.model.beta_prime(np.abs(v) ** 2)
+        if epsV is not None:
+            phase -= epsV
         phase *= -self.dt
-        rot = self._rot
         np.cos(phase, out=rot.real)
         np.sin(phase, out=rot.imag)
-        vals *= rot
+        v *= rot
 
     def _guard(self, vals):
         m = np.max(np.abs(vals))
@@ -124,14 +155,26 @@ class Stepper:
         if n_steps <= 0:
             return vals
         self._guard(vals)
-        vals = self._linear(vals, self.lin_half, False)
-        for _ in range(n_steps - 1):
-            self._nonlinear(vals)
-            vals = self._linear(vals, self.lin_full, True)
-        self._nonlinear(vals)
-        vals = self._linear(vals, self.lin_half, True)
+        if self.threads == 1:
+            vals = self._block(vals, n_steps, map)
+        else:
+            with ThreadPoolExecutor(self.threads) as pool:
+                vals = self._block(vals, n_steps, pool.map)
         self._guard(vals)
         return vals
+
+    def _block(self, vals, n_steps, each):
+        """The fused substeps; `each` is `map` or a thread pool's `map`, and
+        reading its every result raises a slab's exception here."""
+        def nonlinear(vals):
+            list(each(self._nonlinear, repeat(vals), self._slabs))
+
+        vals = self._linear(vals, self.lin_half, False)
+        for _ in range(n_steps - 1):
+            nonlinear(vals)
+            vals = self._linear(vals, self.lin_full, True)
+        nonlinear(vals)
+        return self._linear(vals, self.lin_half, True)
 
 
 def step(psi: FieldState, dt: float, model: NonlinearityModel,
@@ -143,11 +186,13 @@ def step(psi: FieldState, dt: float, model: NonlinearityModel,
 
 def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | None,
         eps: float, dt: float, t_final: float, cadence: int = 50,
-        observer=None):
+        observer=None, timing: dict | None = None):
     """Step to t_final, invoking observer(i_sample, t, FieldState) every
     `cadence` steps (including t = 0 and the final time); a truthy return
     from the observer stops the run after that sample.  Returns the last
-    field and the diagnostics series."""
+    field and the diagnostics series.  A `timing` dict receives the wall
+    seconds spent stepping (`step_s`) and in the diagnostics (`diag_s`),
+    the steps taken (`n_steps`) and the Stepper's `step_threads`."""
     grid = psi0.grid
     V = potential_on_grid(potential, grid) if potential is not None else None
     st = Stepper(grid, dt, model, V, eps)
@@ -157,9 +202,11 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
     vals = psi0.values.copy()
     diags = []
     i_sample = 0
+    wall = {"step_s": 0.0, "diag_s": 0.0}
 
     def record(t, vals):
         nonlocal i_sample
+        t0 = perf_counter()
         f = FieldState(grid, vals)
         diags.append(EvolveDiagnostics(
             time=t,
@@ -167,6 +214,7 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
             momenta=_momenta(f),
             boundary_mass=boundary_mass_fraction(f),
         ))
+        wall["diag_s"] += perf_counter() - t0
         stop = observer is not None and observer(i_sample, t, f)
         i_sample += 1
         return stop
@@ -175,7 +223,11 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
     done = 0
     while done < n_steps and not stop:
         blk = min(cadence, n_steps - done)
+        t0 = perf_counter()
         vals = st.step_block(vals, blk)
+        wall["step_s"] += perf_counter() - t0
         done += blk
         stop = record(done * dt, vals)
+    if timing is not None:
+        timing.update(wall, n_steps=done, step_threads=st.threads)
     return FieldState(grid, vals), diags

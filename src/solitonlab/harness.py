@@ -10,6 +10,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 import numpy as np
 import scipy.fft as sfft
@@ -114,16 +115,25 @@ def _axis_components(coords: SolitonCoordinates, axis: int):
 
 
 def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
-    """Evolve, extract at cadence, track H_mech drift / phi norms / d_eps."""
+    """Evolve, extract at cadence, track H_mech drift / phi norms / d_eps.
+
+    `summary["timing"]` gives the run's wall seconds (`wall_s`) and those of
+    each layer: stepping, diagnostics, extraction, `mech_run` and
+    `orbit_distance`, with the step and sample counts and the stepping
+    threads.  The rows hold no timing, so the CSV stays byte-stable."""
+    t_start = perf_counter()
+    timing = {"extract_s": 0.0, "mech_run_s": 0.0, "orbit_distance_s": 0.0}
     cfg = validate_config(cfg)
     grid = Grid(cfg.dim, cfg.grid_points, cfg.box_length)
     family = make_family(cfg)
     rng = np.random.default_rng(cfg.seed)
     psi0, info = build_initial_state(cfg, family, grid, rng)
 
+    t0 = perf_counter()
     dec0 = extract(psi0, family, guess=SolitonCoordinates(
         np.asarray(cfg.p_init, dtype=float), np.asarray(cfg.q_init, dtype=float)),
         tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
+    timing["extract_s"] += perf_counter() - t0
     m_used = family.m_ref + dec0.coords.p[3] / 2.0
 
     # effective potential at the extracted mass, reduced to the symmetry axis
@@ -141,9 +151,11 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
 
     orbit = None
     if axial and cfg.t_final > 0:
+        t0 = perf_counter()
         n_mech = orbit_steps(veff_axis, m_used, cfg.epsilon, cfg.t_final)
         orbit = mech_run(MechState(p0_ax, q0_ax), m_used, cfg.epsilon, veff_axis,
                          dt=cfg.t_final / n_mech, t_final=cfg.t_final)
+        timing["mech_run_s"] = perf_counter() - t0
 
     want_s = sorted({s for _, s in cfg.strichartz_pairs})
     rows = {k: [] for k in ROW_FIELDS}
@@ -159,6 +171,7 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
         dt_gap = t - state["t_prev"]
         guess = SolitonCoordinates(
             prev.p.copy(), prev.q + dt_gap * family.coordinate_rates(prev.p))
+        t0 = perf_counter()
         try:
             dec = extract(f, family, guess=guess, tol=cfg.newton_tol,
                           max_iter=cfg.newton_max_iter) if i else dec0
@@ -167,12 +180,16 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
             state["t_fail"] = t
             state["error"] = str(e)
             return True
+        finally:
+            timing["extract_s"] += perf_counter() - t0
         state["prev"] = dec.coords
         state["t_prev"] = t
         pax, qax = _axis_components(dec.coords, axis)
         hm = mech_energy(MechState(pax, qax), m_used, cfg.epsilon, veff_axis)
+        t0 = perf_counter()
         de = orbit_distance(MechState(pax, qax), orbit) \
             if orbit is not None else float("nan")
+        timing["orbit_distance_s"] += perf_counter() - t0
         rows["t"].append(t)
         for j in range(4):
             rows[f"p{j + 1}"].append(dec.coords.p[j])
@@ -192,7 +209,7 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
 
     final, diags = ev.run(psi0, cfg.model, cfg.potential, cfg.epsilon,
                           cfg.dt, cfg.t_final, cadence=cfg.extraction_cadence,
-                          observer=observer)
+                          observer=observer, timing=timing)
 
     n = len(rows["t"])
     for k in CONS_FIELDS:
@@ -246,6 +263,7 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
         summary["C2"] = (summary["max_d_eps"] / cfg.epsilon
                          if np.isfinite(summary["max_d_eps"]) else float("nan"))
         summary["C_phi"] = summary["max_phi_h1"] / cfg.epsilon**0.5
+    summary["timing"] = dict(timing, n_samples=n, wall_s=perf_counter() - t_start)
     return RunRecord(config=cfg, config_hash=summary["config_hash"], rows=rows,
                      summary=summary, orbit=orbit, veff=veff_axis,
                      strichartz_norms={s: np.asarray(v) for s, v in sn.items()},

@@ -1,7 +1,12 @@
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor, TimeoutError
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings, strategies as st
 
 from solitonlab.evolve import (BlowupError, Stepper, hamiltonian,
@@ -65,6 +70,86 @@ def test_kernel_matches_reference_3d():
     psi = np.broadcast_to(1.5 * np.exp(-0.5 * r2) * np.exp(0.3j * grid.x[0]), grid.n) + 0j
     new, ref = _kernel_pair(grid, model, V, 1e-2, psi, blocks=2, n_steps=10)
     assert np.max(np.abs(new - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def _scipy_reference_block(grid, dt, model, V, eps, vals, n_steps):
+    """The Stepper's scipy.fft arithmetic on one thread and the whole field:
+    fftn/ifftn, `mult * h`, and the phase's cos and sin in one buffer."""
+    lin_half = np.exp(0.5j * dt * grid.k2)
+    lin_full = lin_half**2
+    epsV = eps * np.broadcast_to(V, grid.n)
+    rot = np.empty(grid.n, complex)
+
+    def linear(v, mult):
+        # `mult * h`, spelled as a call: numpy reuses a large temporary of
+        # `mult * fftn(v)` as `h *= mult`, and the complex multiply is not
+        # commutative bit for bit
+        return sfft.ifftn(np.multiply(mult, sfft.fftn(v)))
+
+    def nonlinear(v):
+        phase = model.beta_prime(np.abs(v) ** 2)
+        phase -= epsV
+        phase *= -dt
+        np.cos(phase, out=rot.real)
+        np.sin(phase, out=rot.imag)
+        return v * rot
+
+    vals = linear(vals, lin_half)
+    for _ in range(n_steps - 1):
+        vals = linear(nonlinear(vals), lin_full)
+    return linear(nonlinear(vals), lin_half)
+
+
+def _well_3d(n):
+    grid = Grid(3, n, 44.0 * n / 48)
+    model = NonlinearityModel("power", 0.5, 1.0)
+    V = potential_on_grid(PotentialModel.gaussians([(-1.0, [0.0, 0.0, 0.0], 2.0)]), grid)
+    r2 = sum(xj**2 for xj in grid.x)
+    psi = np.broadcast_to(1.5 * np.exp(-0.5 * r2) * np.exp(0.3j * grid.x[0]), grid.n) + 0j
+    return grid, model, V, psi
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_threaded_step_byte_identical_3d(n):
+    grid, model, V, psi = _well_3d(n)
+    st = Stepper(grid, 1e-3, model, V, 1e-2)
+    assert st.threads == min(len(os.sched_getaffinity(0)), n)
+    new, ref = psi.copy(), psi.copy()
+    for _ in range(2):
+        new = st.step_block(new, 10)
+        ref = _scipy_reference_block(grid, 1e-3, model, V, 1e-2, ref, 10)
+    assert np.array_equal(new, ref)
+
+
+def test_step_block_leaves_no_thread(cubic, grid512):
+    grid, model, V, psi = _well_3d(16)
+    before = threading.active_count()
+    Stepper(grid, 1e-3, model, V, 1e-2).step_block(psi, 5)
+    assert threading.active_count() == before
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+    assert Stepper(grid512, 1e-3, cubic).threads == 1
+
+
+def _child_step(n):
+    grid, model, V, psi = _well_3d(n)
+    st = Stepper(grid, 1e-3, model, V, 1e-2)
+    return st.threads, st.step_block(psi, 5)
+
+
+def test_forked_child_steps_after_parent():
+    # a pool worker steps on one thread, whatever the parent has run before
+    threads, parent = _child_step(16)
+    ex = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        child_threads, child = ex.submit(_child_step, 16).result(timeout=60)
+    except TimeoutError:
+        for proc in ex._processes.values():    # a hung child blocks shutdown
+            proc.kill()
+        raise
+    finally:
+        ex.shutdown()
+    assert child_threads == 1
+    assert np.array_equal(child, parent)
 
 
 @pytest.mark.parametrize("dim,n,length", [(1, 512, 40 * math.pi), (3, 16, 16.0)],

@@ -333,8 +333,24 @@ def test_golden_short_run(short_run):
     _check_golden(short_run, "short_run")
 
 
-def test_golden_free_run():
-    _check_golden(scenario_run(_free_run_cfg()), "free_run")
+@pytest.fixture(scope="module")
+def free_run():
+    return scenario_run(_free_run_cfg())
+
+
+def test_golden_free_run(free_run):
+    _check_golden(free_run, "free_run")
+
+
+def test_run_timing(free_run):
+    # the five layers cover the run but its set-up: within 10 % of its wall
+    t = free_run.summary["timing"]
+    layers = ("step_s", "diag_s", "extract_s", "mech_run_s", "orbit_distance_s")
+    assert all(t[k] > 0 for k in layers)
+    assert 0.9 * t["wall_s"] <= sum(t[k] for k in layers) <= t["wall_s"]
+    assert (t["n_steps"], t["n_samples"], t["step_threads"]) == (5000, 101, 1)
+    assert "timing" not in free_run.rows
+    json.dumps(free_run.summary, default=float)
 
 
 if __name__ == "__main__":
