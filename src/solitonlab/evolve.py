@@ -19,16 +19,32 @@ writes exp(i phase) into one complex buffer as cos and sin.  In 1D this is
 bit for bit the arithmetic of numpy.fft.fftn and np.exp; in 3D it agrees
 with it to roundoff.
 
-Threads: a 3D field is stepped on every CPU of the process's affinity set.
-The transforms take `workers=n`, and the nonlinear substep runs on n
-contiguous slabs along axis 0, one per thread, with the same elementwise
-arithmetic on each view; both give the one-thread result byte for byte.
-A 1D line is too short to split, and a worker of a process pool (the
-epsilon sweep) already has a core of its own, so both step on one thread:
-their slab list is `[slice(None)]` and no executor is opened.  The thread
-pool is opened and shut down by each `step_block` call, never kept at module
-level: a pool thread alive at a fork leaves the forked child a pool whose
-threads do not exist, and a child that steps through it waits for ever.
+Threads: a 3D field is stepped on every CPU the process may use (n threads,
+at most the shortest axis).  The threaded kernel makes the transforms' axis
+passes itself, one `scipy.fft` call per thread and group of passes, on the
+slab of the field that holds whole lines along those axes:
+
+  A  forward passes along axes 0 and 1     slabs along axis 2
+  B  forward pass along axis 2, the        slabs along axis 1
+     multiplier, inverse pass along axis 0
+     and ifftn's factor 1/N
+  C  inverse passes along axes 1 and 2,    slabs along axis 0
+     the nonlinear substep
+
+The threads meet only between groups, three times a step; A and B work on
+a contiguous copy of their slab.  fftn makes the same passes in the same
+order (axis 0 first, and ifftn multiplies by 1/N at the end of its axis-0
+pass), so the result is the one-thread result byte for byte.  A thread that
+reaches a meeting first spins, yielding its CPU, rather than sleeping: on a
+virtual machine a sleeping thread leaves its virtual CPU idle, and waking it
+again waits for the host, which a busy host adds to the wall time as steal.
+(Scipy's own `workers=` threads meet three times per transform and sleep at
+every meeting.)  A 1D line is too short to split: it steps on one thread
+with `fft` over the whole line, as does a 3D field in a process that may use
+one CPU only.  The thread pool is opened and shut down by each `step_block`
+call, never kept at module level: a pool thread alive at a fork leaves the
+forked child a pool whose threads do not exist, and a child that steps
+through it waits for ever.
 
 Every substep conserves mass exactly in exact arithmetic; in float64 the
 step carries a per-step round-off with a fixed sign, about +1.2e-16
@@ -45,12 +61,11 @@ keeps the exp(i theta) arithmetic.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
-from time import perf_counter
+from time import perf_counter, sleep
 
 import numpy as np
 import scipy.fft as sfft
@@ -91,6 +106,53 @@ def hamiltonian(psi: FieldState, model: NonlinearityModel,
     return float(kin + pot + ext)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "process_cpu_count"):                    # Python >= 3.13
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cuts(n: int, parts: int) -> list[slice]:
+    edges = np.linspace(0, n, parts + 1).astype(int)
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+_pause = getattr(os, "sched_yield", lambda: sleep(0))
+
+
+class _Meeting:
+    """A barrier whose waiters spin instead of sleeping: each turn of the loop
+    releases the GIL and yields the CPU.  The waits inside a block are short
+    (the threads' shares are equal), and a waiter that slept would leave its
+    CPU idle, to be woken again at the next meeting."""
+
+    def __init__(self, parties: int):
+        self._parties = parties
+        self._arrived = 0
+        self._round = 0
+        self._broken = False
+        self._lock = threading.Lock()
+
+    def wait(self):
+        with self._lock:
+            this = self._round
+            self._arrived += 1
+            if self._arrived == self._parties:
+                self._arrived = 0
+                self._round += 1
+                return
+        while self._round == this:
+            if self._broken:
+                raise threading.BrokenBarrierError
+            _pause()
+
+    def abort(self):
+        self._broken = True
+
+
 class Stepper:
     """Precomputed multipliers and buffers for a fixed (grid, dt, model, eps V).
 
@@ -112,34 +174,31 @@ class Stepper:
         else:
             self._fft, self._ifft = sfft.fftn, sfft.ifftn
         self._max0 = None
-        # every CPU of the affinity set for a 3D field; one in 1D and in a
-        # worker of a process pool; a contiguous slab along axis 0 per thread
-        self.threads = (1 if grid.dim == 1 or multiprocessing.parent_process() is not None
-                        else min(len(os.sched_getaffinity(0)), grid.n[0]))
-        edges = np.linspace(0, grid.n[0], self.threads + 1).astype(int)
-        slabs = ([slice(None)] if self.threads == 1 else
-                 [slice(a, b) for a, b in zip(edges[:-1], edges[1:])])
-        rot = np.empty(grid.n, complex)
-        # (slice, its views of the rotation buffer and of eps V)
-        self._slabs = [(sl, rot[sl], None if self.epsV is None else self.epsV[sl])
-                       for sl in slabs]
+        self._rot = np.empty(grid.n, complex)
+        self.threads = 1 if grid.dim == 1 else min(_cpu_count(), *grid.n)
+        if self.threads > 1:
+            # thread j's slabs for the groups A, B, C (module docstring)
+            n0, n1, n2 = grid.n
+            self._slabs = list(zip(
+                [np.s_[:, :, sl] for sl in _cuts(n2, self.threads)],
+                [np.s_[:, sl, :] for sl in _cuts(n1, self.threads)],
+                _cuts(n0, self.threads)))
+            self._inv_n = 1.0 / grid.size
 
     def _linear(self, vals, mult, overwrite):
-        h = self._fft(vals, overwrite_x=overwrite, workers=self.threads)
+        h = self._fft(vals, overwrite_x=overwrite)
         np.multiply(mult, h, out=h)
-        return self._ifft(h, overwrite_x=True, workers=self.threads)
+        return self._ifft(h, overwrite_x=True)
 
-    def _nonlinear(self, vals, slab):
-        """vals[sl] *= exp(-i dt (beta'(|vals|^2) - eps V)), in place."""
-        sl, rot, epsV = slab
-        v = vals[sl]
-        phase = self.model.beta_prime(np.abs(v) ** 2)
+    def _nonlinear(self, vals, rot, epsV):
+        """vals *= exp(-i dt (beta'(|vals|^2) - eps V)), in place."""
+        phase = self.model.beta_prime(np.abs(vals) ** 2)
         if epsV is not None:
             phase -= epsV
         phase *= -self.dt
         np.cos(phase, out=rot.real)
         np.sin(phase, out=rot.imag)
-        v *= rot
+        vals *= rot
 
     def _guard(self, vals):
         m = np.max(np.abs(vals))
@@ -156,25 +215,69 @@ class Stepper:
             return vals
         self._guard(vals)
         if self.threads == 1:
-            vals = self._block(vals, n_steps, map)
+            vals = self._block(vals, n_steps)
         else:
-            with ThreadPoolExecutor(self.threads) as pool:
-                vals = self._block(vals, n_steps, pool.map)
+            vals = self._threaded_block(vals, n_steps)
         self._guard(vals)
         return vals
 
-    def _block(self, vals, n_steps, each):
-        """The fused substeps; `each` is `map` or a thread pool's `map`, and
-        reading its every result raises a slab's exception here."""
-        def nonlinear(vals):
-            list(each(self._nonlinear, repeat(vals), self._slabs))
-
+    def _block(self, vals, n_steps):
         vals = self._linear(vals, self.lin_half, False)
         for _ in range(n_steps - 1):
-            nonlinear(vals)
+            self._nonlinear(vals, self._rot, self.epsV)
             vals = self._linear(vals, self.lin_full, True)
-        nonlinear(vals)
+        self._nonlinear(vals, self._rot, self.epsV)
         return self._linear(vals, self.lin_half, True)
+
+    def _threaded_block(self, vals, n_steps):
+        work = np.array(vals, dtype=complex)
+        meet = _Meeting(self.threads)
+
+        def share(j):
+            try:
+                self._share(work, n_steps, self._slabs[j], meet.wait)
+            except threading.BrokenBarrierError:
+                pass                # another thread failed and raises its error
+            except BaseException:
+                meet.abort()
+                raise
+
+        with ThreadPoolExecutor(self.threads - 1) as pool:
+            others = [pool.submit(share, j) for j in range(1, self.threads)]
+            share(0)
+            for f in others:
+                f.result()
+        return work
+
+    def _share(self, work, n_steps, slabs, meet):
+        """One thread's part of n_steps fused steps on `work`, in place; `meet`
+        waits for the other threads between the groups A, B and C."""
+        a, b, c = slabs
+        wa, wb, wc = work[a], work[b], work[c]
+        # A and B transform a contiguous copy of their strided slabs: passes
+        # over the strided views run markedly slower on two threads at once
+        buf = np.empty(max(wa.size, wb.size), complex)
+        ba, bb = buf[:wa.size].reshape(wa.shape), buf[:wb.size].reshape(wb.shape)
+        bb_re = bb.view(float)
+        rot = self._rot[c]
+        epsV = None if self.epsV is None else self.epsV[c]
+        half, full = self.lin_half[b], self.lin_full[b]
+        for i in range(n_steps + 1):
+            np.copyto(ba, wa)
+            sfft.fftn(ba, axes=(0, 1), overwrite_x=True)
+            np.copyto(wa, ba)
+            meet()
+            np.copyto(bb, wb)
+            sfft.fft(bb, axis=2, overwrite_x=True)
+            np.multiply(half if i in (0, n_steps) else full, bb, out=bb)
+            sfft.ifft(bb, axis=0, norm="forward", overwrite_x=True)
+            bb_re *= self._inv_n
+            np.copyto(wb, bb)
+            meet()
+            sfft.ifftn(wc, axes=(1, 2), norm="forward", overwrite_x=True)
+            if i < n_steps:
+                self._nonlinear(wc, rot, epsV)
+                meet()
 
 
 def step(psi: FieldState, dt: float, model: NonlinearityModel,

@@ -1,6 +1,6 @@
 import math
 import multiprocessing
-import os
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, TimeoutError
 
@@ -9,6 +9,7 @@ import pytest
 import scipy.fft as sfft
 from hypothesis import given, settings, strategies as st
 
+from solitonlab import evolve
 from solitonlab.evolve import (BlowupError, Stepper, hamiltonian,
                                potential_on_grid, run, step)
 from solitonlab.field import FieldState, Grid, l2_norm, momenta
@@ -109,11 +110,14 @@ def _well_3d(n):
     return grid, model, V, psi
 
 
+@pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize("n", [16, 48])
-def test_threaded_step_byte_identical_3d(n):
+def test_threaded_step_byte_identical_3d(monkeypatch, n, threads):
+    # 3 threads cut 16 points into uneven slabs of 5, 5 and 6
+    monkeypatch.setattr(evolve, "_cpu_count", lambda: threads)
     grid, model, V, psi = _well_3d(n)
     st = Stepper(grid, 1e-3, model, V, 1e-2)
-    assert st.threads == min(len(os.sched_getaffinity(0)), n)
+    assert st.threads == threads
     new, ref = psi.copy(), psi.copy()
     for _ in range(2):
         new = st.step_block(new, 10)
@@ -121,7 +125,34 @@ def test_threaded_step_byte_identical_3d(n):
     assert np.array_equal(new, ref)
 
 
-def test_step_block_leaves_no_thread(cubic, grid512):
+def test_threaded_step_stress(monkeypatch):
+    # more threads than cores, switching every microsecond: a lost update in
+    # the meetings would hang a thread or let one run ahead into a wrong field
+    monkeypatch.setattr(evolve, "_cpu_count", lambda: 4)
+    grid, model, V, psi = _well_3d(16)
+    st = Stepper(grid, 1e-3, model, V, 1e-2)
+    ref = _scipy_reference_block(grid, 1e-3, model, V, 1e-2, psi, 40)
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: out.append(st.step_block(psi, 40)),
+                                  daemon=True)
+        caller.start()
+        caller.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive() and out
+    assert np.array_equal(out[0], ref)
+
+
+def test_threaded_step_uses_every_cpu():
+    grid, model, V, _ = _well_3d(48)
+    assert Stepper(grid, 1e-3, model, V, 1e-2).threads == min(evolve._cpu_count(), 48)
+
+
+def test_step_block_leaves_no_thread(monkeypatch, cubic, grid512):
+    monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
     grid, model, V, psi = _well_3d(16)
     before = threading.active_count()
     Stepper(grid, 1e-3, model, V, 1e-2).step_block(psi, 5)
@@ -130,14 +161,43 @@ def test_step_block_leaves_no_thread(cubic, grid512):
     assert Stepper(grid512, 1e-3, cubic).threads == 1
 
 
+class _WorkerFault(NonlinearityModel):
+    def beta_prime(self, s):
+        if threading.current_thread().name.startswith("ThreadPoolExecutor"):
+            raise FloatingPointError("fault in a worker thread")
+        return super().beta_prime(s)
+
+
+def test_threaded_step_raises_a_worker_error(monkeypatch):
+    # a worker's exception reaches the caller, and the caller's thread stops
+    # at its next meeting instead of waiting there for ever
+    monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+    grid, _, V, psi = _well_3d(16)
+    st = Stepper(grid, 1e-3, _WorkerFault("power", 0.5, 1.0), V, 1e-2)
+    before = threading.active_count()
+    raised = []
+
+    def call():
+        with pytest.raises(FloatingPointError, match="worker thread"):
+            st.step_block(psi, 5)
+        raised.append(True)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive() and raised
+    assert threading.active_count() == before
+
+
 def _child_step(n):
     grid, model, V, psi = _well_3d(n)
     st = Stepper(grid, 1e-3, model, V, 1e-2)
     return st.threads, st.step_block(psi, 5)
 
 
-def test_forked_child_steps_after_parent():
-    # a pool worker steps on one thread, whatever the parent has run before
+def test_forked_child_steps_after_parent(monkeypatch):
+    # a forked pool worker steps on its own threads after the parent has
+    monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
     threads, parent = _child_step(16)
     ex = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
     try:
@@ -148,7 +208,7 @@ def test_forked_child_steps_after_parent():
         raise
     finally:
         ex.shutdown()
-    assert child_threads == 1
+    assert child_threads == threads == 2
     assert np.array_equal(child, parent)
 
 
