@@ -3,13 +3,15 @@
 Subcommands: groundstate, masscurve, spectrum, simulate, mech, sweep, compare.
 Exit codes: 0 ok, 1 config error, 2 numerical failure (an exception of the
 NUMERICAL_ERRORS family), 3 partial run.  Any other exception is a bug in the
-program and propagates with its traceback.
+program and propagates with its traceback.  Progress lines (the "solitonlab"
+logger at INFO) go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -183,6 +185,20 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    log = logging.getLogger("solitonlab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(asctime)s %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return _main(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _main(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -8,20 +8,28 @@ system).  Substep order is linear-half / nonlinear-full / linear-half; the
 nonlinear+potential substep is a pure phase rotation and therefore exact,
 which lets consecutive steps be fused into blocks at one FFT pair per step.
 
-The kernel (`Stepper`) makes one scipy.fft call per transform: `fft`/`ifft`
-in 1D, `fftn`/`ifftn` over all axes in 3D.  Only the first forward
-transform of a block reads the caller's array; every later transform
-overwrites its input, and the substeps work in place.  The linear substep is
-`mult * h` with the multiplier as the first operand (the complex multiply
-uses FMA, so `h * mult` differs in the last bit).  The nonlinear substep
-forms the phase -dt (beta'(|psi|^2) - eps V) with `eps V` precomputed and
-writes exp(i phase) into one complex buffer as cos and sin.  In 1D this is
-bit for bit the arithmetic of numpy.fft.fftn and np.exp; in 3D it agrees
-with it to roundoff.
+The kernel (`Stepper`) makes every transform a direct call to pocketfft's
+`c2c(a, axes, forward, inorm, out, nthreads)`, the compiled routine in which
+`scipy.fft.fft`, `ifft`, `fftn` and `ifftn` end after their argument
+handling.  The results are theirs bit for bit, and at N = 512 a call costs
+about half as much as through `scipy.fft`, whose dispatch had become the
+largest part of a 1D step.  The norm codes are those scipy passes: 0 (no
+factor) for the forward transforms, 2 (the factor 1/N) for the inverse ones,
+and 0 for group B's inverse pass below, scipy's `norm="forward"`;
+`nthreads` is 1, since the threads are the kernel's own.  Only the first
+forward transform of a block reads the caller's array; every later
+transform overwrites its input, and the substeps work in place.  The linear
+substep is `mult * h` with the multiplier as the first operand (the complex
+multiply uses FMA, so `h * mult` differs in the last bit).  The nonlinear
+substep writes |psi|^2 into a float buffer of the Stepper and turns it, in
+place, into the phase -dt (beta'(|psi|^2) - eps V), with `eps V`
+precomputed; exp(i phase) goes into one complex buffer as cos and sin.  In
+1D this is bit for bit the arithmetic of numpy.fft.fftn and np.exp; in 3D it
+agrees with it to roundoff.
 
 Threads: a 3D field is stepped on every CPU the process may use (n threads,
 at most the shortest axis).  The threaded kernel makes the transforms' axis
-passes itself, one `scipy.fft` call per thread and group of passes, on the
+passes itself, one `c2c` call per thread and group of passes, on the
 slab of the field that holds whole lines along those axes:
 
   A  forward passes along axes 0 and 1     slabs along axis 2
@@ -61,6 +69,7 @@ keeps the exp(i theta) arithmetic.
 """
 from __future__ import annotations
 
+import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -69,11 +78,14 @@ from time import perf_counter, sleep
 
 import numpy as np
 import scipy.fft as sfft
+from scipy.fft._pocketfft.pypocketfft import c2c
 
 from .field import FieldState, Grid, boundary_mass_fraction
 from .model import NonlinearityModel, PotentialModel
 
 __all__ = ["BlowupError", "EvolveDiagnostics", "Stepper", "hamiltonian", "step", "run"]
+
+log = logging.getLogger("solitonlab")
 
 
 class BlowupError(RuntimeError):
@@ -169,11 +181,9 @@ class Stepper:
                      else eps * np.broadcast_to(V, grid.n))
         self.lin_half = np.exp(0.5j * dt * grid.k2)
         self.lin_full = self.lin_half**2
-        if grid.dim == 1:
-            self._fft, self._ifft = sfft.fft, sfft.ifft
-        else:
-            self._fft, self._ifft = sfft.fftn, sfft.ifftn
+        self._axes = tuple(range(grid.dim))
         self._max0 = None
+        self._s = np.empty(grid.n)           # |psi|^2, then the phase
         self._rot = np.empty(grid.n, complex)
         self.threads = 1 if grid.dim == 1 else min(_cpu_count(), *grid.n)
         if self.threads > 1:
@@ -185,19 +195,24 @@ class Stepper:
                 _cuts(n0, self.threads)))
             self._inv_n = 1.0 / grid.size
 
-    def _linear(self, vals, mult, overwrite):
-        h = self._fft(vals, overwrite_x=overwrite)
+    def _linear(self, vals, mult, out):
+        """ifftn(mult * fftn(vals)); the forward transform writes into `out`
+        (None: a new array, `vals`: in place)."""
+        h = c2c(vals, self._axes, True, 0, out, 1)
         np.multiply(mult, h, out=h)
-        return self._ifft(h, overwrite_x=True)
+        return c2c(h, self._axes, False, 2, h, 1)
 
-    def _nonlinear(self, vals, rot, epsV):
-        """vals *= exp(-i dt (beta'(|vals|^2) - eps V)), in place."""
-        phase = self.model.beta_prime(np.abs(vals) ** 2)
+    def _nonlinear(self, vals, s, rot, epsV):
+        """vals *= exp(-i dt (beta'(|vals|^2) - eps V)), in place; the float
+        array `s` holds |vals|^2 and then the phase."""
+        np.abs(vals, out=s)
+        np.square(s, out=s)
+        self.model.beta_prime(s, out=s)
         if epsV is not None:
-            phase -= epsV
-        phase *= -self.dt
-        np.cos(phase, out=rot.real)
-        np.sin(phase, out=rot.imag)
+            s -= epsV
+        s *= -self.dt
+        np.cos(s, out=rot.real)
+        np.sin(s, out=rot.imag)
         vals *= rot
 
     def _guard(self, vals):
@@ -222,12 +237,12 @@ class Stepper:
         return vals
 
     def _block(self, vals, n_steps):
-        vals = self._linear(vals, self.lin_half, False)
+        vals = self._linear(vals, self.lin_half, None)
         for _ in range(n_steps - 1):
-            self._nonlinear(vals, self._rot, self.epsV)
-            vals = self._linear(vals, self.lin_full, True)
-        self._nonlinear(vals, self._rot, self.epsV)
-        return self._linear(vals, self.lin_half, True)
+            self._nonlinear(vals, self._s, self._rot, self.epsV)
+            self._linear(vals, self.lin_full, vals)
+        self._nonlinear(vals, self._s, self._rot, self.epsV)
+        return self._linear(vals, self.lin_half, vals)
 
     def _threaded_block(self, vals, n_steps):
         work = np.array(vals, dtype=complex)
@@ -259,24 +274,24 @@ class Stepper:
         buf = np.empty(max(wa.size, wb.size), complex)
         ba, bb = buf[:wa.size].reshape(wa.shape), buf[:wb.size].reshape(wb.shape)
         bb_re = bb.view(float)
-        rot = self._rot[c]
+        s, rot = self._s[c], self._rot[c]
         epsV = None if self.epsV is None else self.epsV[c]
         half, full = self.lin_half[b], self.lin_full[b]
         for i in range(n_steps + 1):
             np.copyto(ba, wa)
-            sfft.fftn(ba, axes=(0, 1), overwrite_x=True)
+            c2c(ba, (0, 1), True, 0, ba, 1)
             np.copyto(wa, ba)
             meet()
             np.copyto(bb, wb)
-            sfft.fft(bb, axis=2, overwrite_x=True)
+            c2c(bb, (2,), True, 0, bb, 1)
             np.multiply(half if i in (0, n_steps) else full, bb, out=bb)
-            sfft.ifft(bb, axis=0, norm="forward", overwrite_x=True)
+            c2c(bb, (0,), False, 0, bb, 1)
             bb_re *= self._inv_n
             np.copyto(wb, bb)
             meet()
-            sfft.ifftn(wc, axes=(1, 2), norm="forward", overwrite_x=True)
+            c2c(wc, (1, 2), False, 0, wc, 1)
             if i < n_steps:
-                self._nonlinear(wc, rot, epsV)
+                self._nonlinear(wc, s, rot, epsV)
                 meet()
 
 
@@ -295,20 +310,25 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
     from the observer stops the run after that sample.  Returns the last
     field and the diagnostics series.  A `timing` dict receives the wall
     seconds spent stepping (`step_s`) and in the diagnostics (`diag_s`),
-    the steps taken (`n_steps`) and the Stepper's `step_threads`."""
+    the steps taken (`n_steps`) and the Stepper's `step_threads`.  At each
+    tenth of the samples an INFO line on the "solitonlab" logger gives t,
+    the samples done and the steps per second so far."""
     grid = psi0.grid
     V = potential_on_grid(potential, grid) if potential is not None else None
     st = Stepper(grid, dt, model, V, eps)
     from .field import momenta as _momenta  # local alias keeps hot loop tidy
 
     n_steps = int(round(t_final / dt))
+    n_samples = 1 + -(-n_steps // cadence)
     vals = psi0.values.copy()
     diags = []
     i_sample = 0
     wall = {"step_s": 0.0, "diag_s": 0.0}
+    t_start = perf_counter()
 
-    def record(t, vals):
+    def record(done, vals):
         nonlocal i_sample
+        t = done * dt
         t0 = perf_counter()
         f = FieldState(grid, vals)
         diags.append(EvolveDiagnostics(
@@ -320,9 +340,12 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
         wall["diag_s"] += perf_counter() - t0
         stop = observer is not None and observer(i_sample, t, f)
         i_sample += 1
+        if 10 * i_sample // n_samples > 10 * (i_sample - 1) // n_samples:
+            log.info("t = %g: %d of %d samples, %.0f steps/s", t, i_sample,
+                     n_samples, done / (perf_counter() - t_start))
         return stop
 
-    stop = record(0.0, vals)
+    stop = record(0, vals)
     done = 0
     while done < n_steps and not stop:
         blk = min(cadence, n_steps - done)
@@ -330,7 +353,7 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
         vals = st.step_block(vals, blk)
         wall["step_s"] += perf_counter() - t0
         done += blk
-        stop = record(done * dt, vals)
+        stop = record(done, vals)
     if timing is not None:
         timing.update(wall, n_steps=done, step_threads=st.threads)
     return FieldState(grid, vals), diags

@@ -67,11 +67,24 @@ class NonlinearityModel:
             return self.c * s ** (self.sigma + 1.0) / (self.sigma + 1.0)
         return self.c * (s - np.log1p(s))
 
-    def beta_prime(self, s):
-        s = np.asarray(s, dtype=float)
+    def beta_prime(self, s, out=None):
+        """beta'(s).  With `out` (a float array; `s` itself is allowed) the
+        result is written there, bit for bit the value returned without it."""
+        if out is None:
+            s = np.asarray(s, dtype=float)
+            if self.kind == "power":
+                return self.c * s**self.sigma
+            return self.c * s / (1.0 + s)
+        if out is not s:
+            np.copyto(out, s)
         if self.kind == "power":
-            return self.c * s**self.sigma
-        return self.c * s / (1.0 + s)
+            out **= self.sigma            # the fast paths of s**sigma
+            out *= self.c
+        else:
+            d = 1.0 + out
+            out *= self.c
+            out /= d
+        return out
 
     def beta_second(self, s):
         s = np.asarray(s, dtype=float)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -108,6 +109,15 @@ def test_cli_simulate(cfg_file, tmp_path):
     assert (tmp_path / "out" / "simulate_series.csv").exists()
     assert (tmp_path / "out" / "simulate_summary.json").exists()
     assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def test_cli_simulate_reports_progress(cfg_file, capsys):
+    # 500 steps at cadence 100: six samples, one progress line each
+    assert main(["--config", str(cfg_file()), "simulate"]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "samples" in ln]
+    assert len(lines) == 6
+    assert "t = 0.5: 6 of 6 samples" in lines[-1]
+    assert not logging.getLogger("solitonlab").handlers
 
 
 def test_cli_simulate_snapshots(cfg_file, tmp_path):

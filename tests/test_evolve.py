@@ -1,3 +1,4 @@
+import logging
 import math
 import multiprocessing
 import sys
@@ -54,13 +55,41 @@ def _kernel_pair(grid, model, V, eps, psi, blocks=3, n_steps=40, dt=1e-3):
 @pytest.mark.parametrize("model,eps", [
     (NonlinearityModel("power", 1.0, 2.0), 1e-3),
     (NonlinearityModel("saturable", 1.0, 2.0), 0.0),
-], ids=["cubic-well", "saturable-free"])
+    (NonlinearityModel("power", 0.5, 1.0), 1e-3),
+], ids=["cubic-well", "saturable-free", "sqrt-well"])
 def test_kernel_bit_identical_1d(grid512, model, eps):
     V = potential_on_grid(PotentialModel.gaussians([(-1.0, [0.0], 2.0)]), grid512)
     x = grid512.x[0]
     psi = (1.0 / np.cosh(x - 3.0)) * np.exp(0.4j * x) + 0j
     new, ref = _kernel_pair(grid512, model, V, eps, psi)
     assert np.array_equal(new, ref)
+
+
+def _pin(axes, forward, inorm, scipy_call, a):
+    # the Stepper's call, out of place and in place, against scipy.fft's
+    want = scipy_call(a)
+    assert np.array_equal(evolve.c2c(a, axes, forward, inorm, None, 1), want)
+    b = a.copy()
+    assert evolve.c2c(b, axes, forward, inorm, b, 1) is b
+    assert np.array_equal(b, want)
+
+
+def test_pocketfft_entry_point_pins_scipy_fft():
+    # the Stepper calls the compiled routine behind scipy.fft directly: a
+    # scipy whose private module changed would otherwise change results
+    # silently
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    _pin((0,), True, 0, sfft.fft, a)
+    _pin((0,), False, 2, sfft.ifft, a)
+    _pin((0,), False, 0, lambda v: sfft.ifft(v, norm="forward"), a)
+    f = rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16))
+    _pin((0, 1, 2), True, 0, sfft.fftn, f)
+    _pin((0, 1, 2), False, 2, sfft.ifftn, f)
+    for axes in [(0, 1), (2,), (0,)]:
+        _pin(axes, True, 0, lambda v: sfft.fftn(v, axes=axes), f)
+        _pin(axes, False, 0, lambda v: sfft.ifftn(v, axes=axes, norm="forward"), f)
+        _pin(axes, False, 2, lambda v: sfft.ifftn(v, axes=axes), f)
 
 
 def test_kernel_matches_reference_3d():
@@ -162,10 +191,10 @@ def test_step_block_leaves_no_thread(monkeypatch, cubic, grid512):
 
 
 class _WorkerFault(NonlinearityModel):
-    def beta_prime(self, s):
+    def beta_prime(self, s, out=None):
         if threading.current_thread().name.startswith("ThreadPoolExecutor"):
             raise FloatingPointError("fault in a worker thread")
-        return super().beta_prime(s)
+        return super().beta_prime(s, out)
 
 
 def test_threaded_step_raises_a_worker_error(monkeypatch):
@@ -407,6 +436,22 @@ def test_run_records_diagnostics(cubic, grid512):
     assert diags[-1].time == pytest.approx(0.1)
     masses = np.array([d.momenta[3] for d in diags])
     assert np.max(np.abs(masses - masses[0])) / masses[0] < 1e-12
+
+
+def test_run_heartbeat(caplog, cubic, grid512):
+    # 200 steps at cadence 5: 41 samples, one line at each tenth of them
+    with caplog.at_level(logging.INFO, logger="solitonlab"):
+        run(_sech(grid512), cubic, None, 0.0, 1e-3, 0.2, cadence=5)
+    lines = [r.getMessage() for r in caplog.records if r.name == "solitonlab"]
+    assert len(lines) == 10
+    assert lines[0].startswith("t = 0.02: 5 of 41 samples, ")
+    assert lines[-1].startswith("t = 0.2: 41 of 41 samples, ")
+    assert all(float(m.split(", ")[-1].split()[0]) > 0 for m in lines)
+
+
+def test_run_heartbeat_silent_by_default(capfd, cubic, grid512):
+    run(_sech(grid512), cubic, None, 0.0, 1e-3, 0.05, cadence=5)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_blowup_guard_nonfinite(cubic, grid512):

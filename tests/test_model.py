@@ -52,6 +52,23 @@ def test_beta_prime_matches_finite_difference(m):
 
 @pytest.mark.parametrize("m", [
     NonlinearityModel("power", 1.0, 2.0),
+    NonlinearityModel("power", 0.5, 1.0),
+    NonlinearityModel("power", 1.5, 2.0),
+    NonlinearityModel("saturable", c=2.0),
+])
+def test_beta_prime_in_place(m):
+    # the Stepper's in-place phase relies on the out= form being bit for bit
+    s = np.random.default_rng(3).random(10_000) * 4.0
+    want = m.beta_prime(s)
+    out = np.empty_like(s)
+    assert m.beta_prime(s, out=out) is out
+    assert np.array_equal(out, want)
+    assert m.beta_prime(s, out=s) is s
+    assert np.array_equal(s, want)
+
+
+@pytest.mark.parametrize("m", [
+    NonlinearityModel("power", 1.0, 2.0),
     NonlinearityModel("saturable", c=2.0),
 ])
 def test_growth_ratio_bounded_on_samples(m):
