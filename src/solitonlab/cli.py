@@ -15,8 +15,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .evolve import BlowupError
 from .groundstate import (GroundStateError, check_h2, mass_curve,
                           solve_ground_state)
@@ -109,16 +107,14 @@ def cmd_mech(args, cfg):
     family = make_family(cfg)
     b = family.profile_on_grid(cfg.reference_energy, grid)
     axis = cfg.potential.axis if cfg.potential.terms else 0
-    veff = build_effective_potential(cfg.potential, b, grid, family.m_ref).on_axis(axis)
-    p0 = np.array([cfg.p_init[axis]])
-    q0 = np.array([cfg.q_init[axis]])
-    orbit = mech_run(MechState(p0, q0), family.m_ref, cfg.epsilon, veff,
-                     dt=cfg.dt, t_final=cfg.t_final)
+    veff = build_effective_potential(cfg.potential, b, grid, family.m_ref)
+    orbit = mech_run(MechState(cfg.p_init[axis], cfg.q_init[axis]), family.m_ref,
+                     cfg.epsilon, veff, dt=cfg.dt, t_final=cfg.t_final)
     write_csv(os.path.join(out, "orbit.csv"),
               {"t": orbit.ts, "p": orbit.ps[:, 0], "q": orbit.qs[:, 0],
                "H_mech": orbit.energies})
     write_csv(os.path.join(out, "veff.csv"),
-              {"q": veff.grid.axes[0], "Veff": veff.values, "dVeff": veff.grad[0]})
+              {"q": veff.grid.axes[0], "Veff": veff.values, "dVeff": veff.grad})
     return EXIT_OK
 
 

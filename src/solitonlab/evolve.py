@@ -316,7 +316,9 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
     grid = psi0.grid
     V = potential_on_grid(potential, grid) if potential is not None else None
     st = Stepper(grid, dt, model, V, eps)
-    from .field import momenta as _momenta  # local alias keeps hot loop tidy
+    # bound at each call, not at import: a wrapper put on field.momenta before
+    # the run (the --trace probes of perfbench/spans.py) then sees its calls
+    from .field import momenta as _momenta
 
     n_steps = int(round(t_final / dt))
     n_samples = 1 + -(-n_steps // cadence)

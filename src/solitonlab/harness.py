@@ -110,10 +110,6 @@ def build_initial_state(cfg: SimulationConfig, family: SolitonFamily, grid: Grid
     return psi0, info
 
 
-def _axis_components(coords: SolitonCoordinates, axis: int):
-    return np.array([coords.p[axis]]), np.array([coords.q[axis]])
-
-
 def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
     """Evolve, extract at cadence, track H_mech drift / phi norms / d_eps.
 
@@ -137,25 +133,24 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
     timing["extract_s"] += perf_counter() - t0
     m_used = family.m_ref + dec0.coords.p[3] / 2.0
 
-    # effective potential at the extracted mass, reduced to the symmetry axis
+    # effective potential at the extracted mass, on the symmetry axis
     axis = cfg.potential.axis if cfg.potential.terms else 0
     e_used = family.energy_of_mass(m_used)
     b_used = family.profile_on_grid(e_used, grid)
-    veff_axis = build_effective_potential(cfg.potential, b_used, grid,
-                                          m_used).on_axis(axis)
+    veff = build_effective_potential(cfg.potential, b_used, grid, m_used)
 
     axial = cfg.dim == 1 or (cfg.potential.is_axisymmetric()
                              and np.allclose(np.delete(dec0.coords.p[:3], axis), 0, atol=1e-9)
                              and np.allclose(np.delete(dec0.coords.q[:3], axis), 0, atol=1e-9))
-    p0_ax, q0_ax = _axis_components(dec0.coords, axis)
-    h_mech0 = mech_energy(MechState(p0_ax, q0_ax), m_used, cfg.epsilon, veff_axis)
+    mech0 = MechState(dec0.coords.p[axis], dec0.coords.q[axis])
+    h_mech0 = mech_energy(mech0, m_used, cfg.epsilon, veff)
     timing["setup_s"] = perf_counter() - t_start - timing["extract_s"]
 
     orbit = None
     if axial and cfg.t_final > 0:
         t0 = perf_counter()
-        n_mech = orbit_steps(veff_axis, m_used, cfg.epsilon, cfg.t_final)
-        orbit = mech_run(MechState(p0_ax, q0_ax), m_used, cfg.epsilon, veff_axis,
+        n_mech = orbit_steps(veff, m_used, cfg.epsilon, cfg.t_final)
+        orbit = mech_run(mech0, m_used, cfg.epsilon, veff,
                          dt=cfg.t_final / n_mech, t_final=cfg.t_final)
         timing["mech_run_s"] = perf_counter() - t0
 
@@ -186,11 +181,10 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
             timing["extract_s"] += perf_counter() - t0
         state["prev"] = dec.coords
         state["t_prev"] = t
-        pax, qax = _axis_components(dec.coords, axis)
-        hm = mech_energy(MechState(pax, qax), m_used, cfg.epsilon, veff_axis)
+        point = MechState(dec.coords.p[axis], dec.coords.q[axis])
+        hm = mech_energy(point, m_used, cfg.epsilon, veff)
         t0 = perf_counter()
-        de = orbit_distance(MechState(pax, qax), orbit) \
-            if orbit is not None else float("nan")
+        de = orbit_distance(point, orbit) if orbit is not None else float("nan")
         timing["orbit_distance_s"] += perf_counter() - t0
         rows["t"].append(t)
         for j in range(4):
@@ -244,7 +238,7 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
         "t_fail": state["t_fail"],
         "error": state["error"],
         "perturb_h1": info["perturb_h1"],
-        "critical_margin": critical_margin(h_mech0 / cfg.epsilon, veff_axis)
+        "critical_margin": critical_margin(h_mech0 / cfg.epsilon, veff)
         if cfg.epsilon > 0 else float("nan"),
     }
     summary["boundary_warning"] = bool(summary["max_boundary_mass"]
@@ -267,7 +261,7 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
         summary["C_phi"] = summary["max_phi_h1"] / cfg.epsilon**0.5
     summary["timing"] = dict(timing, n_samples=n, wall_s=perf_counter() - t_start)
     return RunRecord(config=cfg, config_hash=summary["config_hash"], rows=rows,
-                     summary=summary, orbit=orbit, veff=veff_axis,
+                     summary=summary, orbit=orbit, veff=veff,
                      strichartz_norms={s: np.asarray(v) for s, v in sn.items()},
                      fields=fields)
 
@@ -381,9 +375,8 @@ def compare(record: RunRecord, orbit: MechOrbit) -> dict:
     axis = cfg.potential.axis if cfg.potential.terms else 0
     ts = record.rows["t"]
     d = np.array([
-        orbit_distance(MechState(np.array([record.rows[f"p{axis + 1}"][i]]),
-                                 np.array([record.rows[f"q{axis + 1}"][i]])),
-                       orbit)
+        orbit_distance(MechState(record.rows[f"p{axis + 1}"][i],
+                                 record.rows[f"q{axis + 1}"][i]), orbit)
         for i in range(len(ts))
     ])
     q_mech = np.interp(ts, orbit.ts, orbit.qs[:, 0])
@@ -415,8 +408,12 @@ def read_csv(path) -> dict:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         cols = {k: [] for k in header}
-        for line in fh:
-            for k, v in zip(header, line.strip().split(",")):
+        for lineno, line in enumerate(fh, start=2):
+            vals = line.strip().split(",")
+            if len(vals) != len(header):
+                raise ValueError(f"{path}: line {lineno} has {len(vals)} fields, "
+                                 f"the header {len(header)}")
+            for k, v in zip(header, vals):
                 cols[k].append(float(v))
     return {k: np.array(v) for k, v in cols.items()}
 

@@ -1,9 +1,11 @@
-"""Effective finite-dimensional soliton mechanics.
+"""Effective finite-dimensional soliton mechanics on the symmetry axis.
 
 V^eff_m(q) = ∫ V(x+q) b^2(x) dx is computed as an FFT convolution on the
-field grid (b^2 is even), cubically interpolated for the ODE; the force used
+field grid (b^2 is even) and cut to the line through the box centre along
+the potential's symmetry axis, where the mechanics run: a 1D grid, the whole
+grid in 1D.  The cut is cubically interpolated for the ODE; the force used
 by the integrator is the exact derivative of the energy's spline so that
-leapfrog energy errors stay bounded.  H_mech = |p|^2/(2m) + eps V^eff(q).
+leapfrog energy errors stay bounded.  H_mech = p^2/(2m) + eps V^eff(q).
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
+from scipy.interpolate import CubicSpline
 
 from .field import Grid
 from .model import PotentialModel
 
 __all__ = [
     "EffectivePotential", "MechState", "MechOrbit",
-    "build_effective_potential", "mech_energy", "mech_step", "mech_run",
+    "build_effective_potential", "mech_energy", "mech_run",
     "orbit_steps", "orbit_distance", "critical_values", "critical_margin",
 ]
 
@@ -56,68 +58,51 @@ class _UniformCubic:
 
 @dataclass
 class EffectivePotential:
+    """V^eff at the nodes of the symmetry axis (`grid`, 1D), its spectral
+    derivative `grad` there, and the cubic spline through `values` that
+    gives V^eff and its force between the nodes."""
     mass: float
     grid: Grid
-    values: np.ndarray            # V^eff on the grid
-    grad: list                    # spectral gradient arrays, one per axis
+    values: np.ndarray
+    grad: np.ndarray
 
     def __post_init__(self):
-        d = self.grid.dim
-        if d == 1:
-            self._spline = CubicSpline(self.grid.axes[0], self.values)
-            self._dspline = self._spline.derivative()
-            self._fast = _UniformCubic(self._spline)
-        else:
-            # multilinear: exact on node planes, so symmetry-plane forces
-            # vanish identically (the tensor cubic leaks ~1e-7 across planes)
-            pts = self.grid.axes
-            self._spline = RegularGridInterpolator(pts, self.values, method="linear")
-            self._gsplines = [RegularGridInterpolator(pts, gj, method="linear")
-                              for gj in self.grad]
+        self._spline = CubicSpline(self.grid.axes[0], self.values)
+        self._dspline = self._spline.derivative()
+        self._fast = _UniformCubic(self._spline)
 
-    def _check_range(self, q):
-        for j in range(self.grid.dim):
-            a = self.grid.axes[j]
-            if not a[0] <= q[j] <= a[-1]:
-                raise MechError(f"q[{j}]={q[j]:.4g} outside interpolation range")
+    def _coord(self, q) -> float:
+        """The axial coordinate q (a scalar or a length-1 array), in range."""
+        (q,) = np.atleast_1d(np.asarray(q, dtype=float))
+        a = self.grid.axes[0]
+        if not a[0] <= q <= a[-1]:
+            raise MechError(f"q={q:.4g} outside interpolation range")
+        return float(q)
 
     def value_at(self, q) -> float:
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        self._check_range(q)
-        if self.grid.dim == 1:
-            return self._fast(float(q[0]))
-        return float(self._spline(q)[0])
+        return self._fast(self._coord(q))
 
     def grad_at(self, q) -> np.ndarray:
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        self._check_range(q)
-        if self.grid.dim == 1:
-            return np.array([self._fast.deriv(float(q[0]))])
-        return np.array([float(gs(q)[0]) for gs in self._gsplines])
-
-    def on_axis(self, axis: int) -> "EffectivePotential":
-        """The restriction to the line through the box centre along `axis`,
-        where the axial mechanics run (itself in 1D)."""
-        g = self.grid
-        if g.dim == 1:
-            return self
-        idx = tuple(slice(None) if j == axis else g.n[j] // 2 for j in range(g.dim))
-        return EffectivePotential(self.mass, Grid(1, g.n[axis], g.length[axis]),
-                                  self.values[idx], [self.grad[axis][idx]])
+        return np.array([self._fast.deriv(self._coord(q))])
 
 
 def build_effective_potential(potential: PotentialModel, b_grid: np.ndarray,
                               grid: Grid, mass: float) -> EffectivePotential:
-    """Spectral convolution (V * b^2)(q); b^2 must be centered and decayed."""
+    """Spectral convolution (V * b^2)(q) on `grid` (b^2 must be centered and
+    decayed), cut to the line through the box centre along the symmetry
+    axis, with the spectral derivative of the cut."""
     b2 = np.asarray(b_grid, dtype=float) ** 2
     edge = [np.max(np.abs(np.take(b2, [0], axis=j))) for j in range(grid.dim)]
     if max(edge) > 1e-8 * np.max(b2):
         raise MechError("soliton density not decayed at the box edge (wrap-around)")
     V = np.broadcast_to(potential(*grid.x), grid.n) if potential.terms else np.zeros(grid.n)
     conv = sfft.ifftn(sfft.fftn(V) * sfft.fftn(np.fft.ifftshift(b2))).real * grid.cell
-    ghat = sfft.fftn(conv)
-    grad = [sfft.ifftn(1j * grid.k_deriv[j] * ghat).real for j in range(grid.dim)]
-    return EffectivePotential(mass=mass, grid=grid, values=conv, grad=grad)
+    axis = potential.axis if potential.terms else 0
+    line = Grid(1, grid.n[axis], grid.length[axis])
+    values = np.ascontiguousarray(
+        conv[tuple(slice(None) if j == axis else n // 2 for j, n in enumerate(grid.n))])
+    grad = sfft.ifft(1j * line.k_deriv[0] * sfft.fft(values)).real
+    return EffectivePotential(mass=mass, grid=line, values=values, grad=grad)
 
 
 @dataclass
@@ -134,38 +119,23 @@ class MechState:
 
 
 def mech_energy(state: MechState, m: float, eps: float,
-                veff: EffectivePotential, scaled: bool = False) -> float:
-    """|p|^2/2m + eps V^eff(q); scaled=True returns the eps-divided form
-    |p~|^2/2m + V^eff with p = mu^2 p~ (i.e. H_mech / eps)."""
-    kin = float(np.sum(state.p**2)) / (2.0 * m)
-    if scaled:
-        if eps <= 0:
-            raise MechError("scaled form needs eps > 0")
-        return kin / eps + veff.value_at(state.q)
-    return kin + eps * veff.value_at(state.q)
-
-
-def mech_step(state: MechState, m: float, eps: float,
-              veff: EffectivePotential, dt: float) -> MechState:
-    """One Stormer-Verlet (kick-drift-kick) step of q' = p/m, p' = -eps grad V^eff."""
-    p = state.p - 0.5 * dt * eps * veff.grad_at(state.q)
-    q = state.q + dt * p / m
-    p = p - 0.5 * dt * eps * veff.grad_at(q)
-    return MechState(p, q, state.t + dt)
+                veff: EffectivePotential) -> float:
+    """p^2/2m + eps V^eff(q)."""
+    return float(np.sum(state.p**2)) / (2.0 * m) + eps * veff.value_at(state.q)
 
 
 @dataclass
 class MechOrbit:
     ts: np.ndarray
-    ps: np.ndarray                # (n, d)
-    qs: np.ndarray                # (n, d)
+    ps: np.ndarray                # (n, 1)
+    qs: np.ndarray                # (n, 1)
     energies: np.ndarray
     mass: float
     eps: float
 
     @cached_property
     def weighted_samples(self):
-        """Samples as columns of z = (p, sqrt(eps) q), shape (2d, n), and the
+        """Samples as columns of z = (p, sqrt(eps) q), shape (2, n), and the
         segment lengths |z_{j+1} - z_j|."""
         z = np.vstack([self.ps.T, math.sqrt(self.eps) * self.qs.T])
         dz = np.diff(z, axis=1)
@@ -189,7 +159,7 @@ MIN_STEPS = 1_000
 
 
 def orbit_steps(veff: EffectivePotential, m: float, eps: float, t_final: float) -> int:
-    """Leapfrog steps to t_final in the 1D/axial V^eff: STEPS_PER_PERIOD per
+    """Leapfrog steps to t_final in V^eff: STEPS_PER_PERIOD per
     period of the fastest small oscillation, omega^2 = eps max|V^eff''| / m
     (the spline's V^eff'' is piecewise linear: its maximum is on a knot)."""
     curvature = float(np.max(np.abs(veff._spline(veff.grid.axes[0], 2))))
@@ -199,19 +169,10 @@ def orbit_steps(veff: EffectivePotential, m: float, eps: float, t_final: float) 
 
 def mech_run(state0: MechState, m: float, eps: float, veff: EffectivePotential,
              dt: float, t_final: float) -> MechOrbit:
+    """Stormer-Verlet (kick-drift-kick) orbit of q' = p/m, p' = -eps V^eff'(q)
+    to t_final, as a scalar loop on raw floats (the spline calls dominate
+    otherwise)."""
     n = int(round(t_final / dt))
-    if veff.grid.dim == 1:
-        return _mech_run_1d(state0, m, eps, veff, dt, n)
-    states = [state0]
-    for _ in range(n):
-        states.append(mech_step(states[-1], m, eps, veff, dt))
-    return MechOrbit(np.array([s.t for s in states]), np.array([s.p for s in states]),
-                     np.array([s.q for s in states]),
-                     np.array([mech_energy(s, m, eps, veff) for s in states]), m, eps)
-
-
-def _mech_run_1d(state0, m, eps, veff, dt, n):
-    """Scalar leapfrog loop on raw floats (the spline calls dominate otherwise)."""
     fast = veff._fast
     lo, hi = veff.grid.axes[0][0], veff.grid.axes[0][-1]
     p, q, t = float(state0.p[0]), float(state0.q[0]), state0.t
@@ -232,7 +193,7 @@ def _mech_run_1d(state0, m, eps, veff, dt, n):
 
 def orbit_distance(point: MechState, orbit: MechOrbit) -> float:
     """Exact min of ||(p-p', q-q')||_eps over the piecewise-linear orbit
-    (||(p,q)||_eps^2 = sum p_k^2 + eps q_k^2, eps = orbit.eps).  In
+    (||(p,q)||_eps^2 = p^2 + eps q^2, eps = orbit.eps).  In
     z = (p, sqrt(eps) q) the norm is Euclidean and a segment's nearest point
     is the clipped projection onto it; segment j is projected only if
     |x - z_j| - |z_{j+1} - z_j| is below the nearest sample's distance, since
@@ -254,8 +215,6 @@ def critical_values(veff: EffectivePotential) -> np.ndarray:
     """Critical values of V^eff on the axis: V^eff at every root of the
     spline's V^eff' plus the value at infinity (0 for decaying potentials).
     A piece where V^eff' vanishes identically has NaN for its root."""
-    if veff.grid.dim != 1:
-        raise MechError("critical values implemented for the 1D/axial case")
     q = veff._dspline.roots(extrapolate=False)
     vals = np.concatenate([[0.0], veff._spline(q[~np.isnan(q)])])
     return np.unique(np.round(vals, 12))

@@ -270,6 +270,8 @@ def validate_config(cfg: SimulationConfig) -> SimulationConfig:
         errors.append("newton_tol not positive")
     if len(cfg.p_init) != 4 or len(cfg.q_init) != 4:
         errors.append("p_init/q_init must have 4 components")
+    if not 0 <= cfg.potential.axis < cfg.dim:
+        errors.append("potential axis not an axis of the grid")
     if cfg.perturb_amplitude < 0:
         errors.append("perturb_amplitude negative")
     if cfg.model.kind == "power" and cfg.dim == 3 and cfg.model.sigma >= 2.0 / 3.0:

@@ -96,6 +96,15 @@ def test_csv_roundtrip_exact(tmp_path, rng):
     assert np.array_equal(back["b"], cols["b"])
 
 
+@pytest.mark.parametrize("bad, lineno", [("3", 3), ("4,5,6", 3)])
+def test_read_csv_rejects_ragged_rows(tmp_path, bad, lineno):
+    # a row with more or fewer fields than the header would shift the columns
+    path = tmp_path / "t.csv"
+    path.write_text(f"a,b\n1,2\n{bad}\n7,8\n")
+    with pytest.raises(ValueError, match=f"line {lineno} "):
+        read_csv(path)
+
+
 def test_export_and_reimport(tmp_path):
     cfg = _base_cfg(t_final=0.5)
     rec = scenario_run(cfg)

@@ -8,7 +8,7 @@ from solitonlab.field import Grid
 from solitonlab.harness import compare, epsilon_sweep
 from solitonlab.mech import (MIN_STEPS, MechError, MechOrbit, MechState,
                              build_effective_potential, critical_margin,
-                             critical_values, mech_energy, mech_run, mech_step,
+                             critical_values, mech_energy, mech_run,
                              orbit_distance, orbit_steps)
 from solitonlab.model import NonlinearityModel, PotentialModel, SimulationConfig
 
@@ -89,9 +89,6 @@ def test_mech_energy_forms(well_veff):
     s2 = MechState([math.sqrt(2.0 * 1.0 * ek)], [40.0])
     assert mech_energy(s2, 1.0, eps, well_veff) \
         == pytest.approx(ek + eps * well_veff.value_at([40.0]), rel=1e-10)
-    # scaled form: H/eps with p = mu^2 p~
-    assert mech_energy(s2, 1.0, eps, well_veff, scaled=True) \
-        == pytest.approx(mech_energy(s2, 1.0, eps, well_veff) / eps, rel=1e-12)
 
 
 def test_mech_free_motion(well_veff):
@@ -102,15 +99,14 @@ def test_mech_free_motion(well_veff):
 
 
 def test_mech_time_reversal(well_veff):
+    # 1000 leapfrog steps forward, then 1000 back from the end state
     eps = 1e-2
-    s0 = MechState([0.0], [3.0])
-    s = s0
-    for _ in range(1000):
-        s = mech_step(s, 1.0, eps, well_veff, 1e-2)
-    for _ in range(1000):
-        s = mech_step(s, 1.0, eps, well_veff, -1e-2)
-    assert abs(s.q[0] - 3.0) < 1e-10
-    assert abs(s.p[0]) < 1e-10
+    fwd = mech_run(MechState([0.0], [3.0]), 1.0, eps, well_veff, dt=1e-2, t_final=10.0)
+    end = MechState(fwd.ps[-1], fwd.qs[-1], fwd.ts[-1])
+    back = mech_run(end, 1.0, eps, well_veff, dt=-1e-2, t_final=-10.0)
+    assert len(back.ts) == 1001
+    assert abs(back.qs[-1, 0] - 3.0) < 1e-10
+    assert abs(back.ps[-1, 0]) < 1e-10
 
 
 def test_mech_harmonic_period(well_veff):
@@ -308,15 +304,25 @@ def test_critical_values_without_potential(family, grid512):
     assert critical_margin(0.25, flat) == 0.25
 
 
-def test_mech_3d_axis_invariance(family):
-    # axially symmetric V, initial data on the axis: motion stays on the axis
-    # (box chosen so the potential truncation at the edge is at roundoff)
-    grid = Grid(3, 16, 32.0)
-    pot = PotentialModel.gaussians([(-1.0, [0.0, 0.0, 0.0], 2.0)], axis=0)
+def test_veff_3d_cut_matches_quadrature(family):
+    # 3D: V^eff is the line through the box centre along the symmetry axis
+    # (here axis 1, with a bump off the centre on it).  At nodes away from the
+    # box edge, where the periodic images of V are below roundoff, it is the
+    # grid quadrature cell * sum V(x + q e_1) b^2(x), and grad the quadrature
+    # of the analytic dV/dx_1 up to the spectral error of the cut (1.4e-6 at
+    # this resolution)
+    grid = Grid(3, 32, 32.0)
+    pot = PotentialModel.gaussians([(-1.0, [0.0, 0.0, 0.0], 2.0),
+                                    (0.4, [0.0, 3.0, 0.0], 1.5)], axis=1)
     b = family.profile_on_grid(1.0, grid, wrap_tol=1e-3)
     veff = build_effective_potential(pot, b, grid, mass=1.0)
-    s = MechState([0.05, 0.0, 0.0], [1.5, 0.0, 0.0])
-    for _ in range(200):
-        s = mech_step(s, 1.0, 1e-2, veff, 0.05)
-    assert np.max(np.abs(s.q[1:])) < 1e-12
-    assert np.max(np.abs(s.p[1:])) < 1e-12
+    assert veff.grid.dim == 1 and veff.grid.n == (32,)
+    assert veff.values.shape == veff.grad.shape == (32,)
+    x, y, z = grid.x
+    b2 = b**2
+    for i in (8, 12, 16, 19, 22):
+        q = veff.grid.axes[0][i]
+        assert veff.values[i] == pytest.approx(
+            grid.cell * float(np.sum(pot(x, y + q, z) * b2)), abs=1e-12)
+        assert veff.grad[i] == pytest.approx(
+            grid.cell * float(np.sum(pot.gradient(x, y + q, z)[1] * b2)), abs=1e-5)

@@ -145,6 +145,14 @@ def test_validate_config_epsilon():
         validate_config(SimulationConfig(epsilon=-1.0))
 
 
+@pytest.mark.parametrize("dim, axis", [(1, 2), (3, 3), (3, -1)])
+def test_validate_config_potential_axis(dim, axis):
+    # the mechanics run on this axis: one the grid lacks is refused up front
+    pot = PotentialModel.gaussians([(-1.0, [0.0] * dim, 2.0)], axis=axis)
+    with pytest.raises(ConfigError, match="potential axis"):
+        validate_config(SimulationConfig(dim=dim, potential=pot))
+
+
 def test_validate_config_collects_all_errors():
     try:
         validate_config(SimulationConfig(grid_points=100, epsilon=-1.0, dt=-1.0))
