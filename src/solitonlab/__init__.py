@@ -14,8 +14,8 @@ Subpackages by concern:
 """
 
 from .model import (NonlinearityModel, PotentialModel, SimulationConfig,
-                    beta_eval, potential_eval, validate_config, load_config)
-from .field import (Grid, FieldState, inner, omega, norm, momenta,
+                    validate_config, load_config)
+from .field import (Grid, FieldState, inner, omega, momenta,
                     apply_symmetry, apply_A)
 from .groundstate import (GroundStateProfile, MassCurve, SolitonParameters,
                           SolitonFamily, solve_ground_state, mass_of,

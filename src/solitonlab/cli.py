@@ -106,9 +106,8 @@ def cmd_mech(args, cfg):
     grid = Grid(cfg.dim, cfg.grid_points, cfg.box_length)
     family = make_family(cfg)
     b = family.profile_on_grid(cfg.reference_energy, grid)
-    axis = cfg.potential.axis if cfg.potential.terms else 0
     veff = build_effective_potential(cfg.potential, b, grid, family.m_ref)
-    orbit = mech_run(MechState(cfg.p_init[axis], cfg.q_init[axis]), family.m_ref,
+    orbit = mech_run(MechState(cfg.p_init[veff.axis], cfg.q_init[veff.axis]), family.m_ref,
                      cfg.epsilon, veff, dt=cfg.dt, t_final=cfg.t_final)
     write_csv(os.path.join(out, "orbit.csv"),
               {"t": orbit.ts, "p": orbit.ps[:, 0], "q": orbit.qs[:, 0],

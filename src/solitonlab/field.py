@@ -22,7 +22,7 @@ import scipy.fft as sfft
 
 __all__ = [
     "Grid", "FieldState", "GridMismatchError",
-    "inner", "omega", "l2_norm", "h1_norm", "sobolev_norm", "w1s_norm", "norm",
+    "inner", "omega", "l2_norm", "h1_norm", "w1s_norm",
     "momenta", "apply_symmetry", "apply_A", "gradient",
     "save_field", "load_field", "export_abs2_csv",
 ]
@@ -132,17 +132,6 @@ def h1_norm(psi: FieldState) -> float:
     return float(np.sqrt(s))
 
 
-def sobolev_norm(psi: FieldState, s: float, k: float = 0.0) -> float:
-    """|| <x>^k (1 - Lap)^{s/2} psi ||_L2 with spectral fractional powers."""
-    g = psi.grid
-    ph = sfft.fftn(psi.values)
-    u = sfft.ifftn((1.0 + g.k2) ** (s / 2.0) * ph)
-    if k != 0.0:
-        x2 = sum(xj**2 for xj in g.x)
-        u = (1.0 + x2) ** (k / 2.0) * u
-    return float(np.sqrt(g.cell) * np.linalg.norm(u.ravel()))
-
-
 def w1s_norm(psi: FieldState, s: float) -> float:
     """||psi||_{L^s} + ||grad psi||_{L^s} with spectral gradient."""
     if s < 1:
@@ -153,19 +142,6 @@ def w1s_norm(psi: FieldState, s: float) -> float:
     mag2 = sum(np.abs(gj.values) ** 2 for gj in gr)
     lpg = (g.cell * np.sum(mag2 ** (s / 2.0))) ** (1.0 / s)
     return float(lp + lpg)
-
-
-def norm(psi: FieldState, spec) -> float:
-    """Dispatch: "l2", "h1", ("hsk", s, k), ("w1s", s)."""
-    if spec == "l2":
-        return l2_norm(psi)
-    if spec == "h1":
-        return h1_norm(psi)
-    if isinstance(spec, tuple) and spec[0] == "hsk":
-        return sobolev_norm(psi, spec[1], spec[2])
-    if isinstance(spec, tuple) and spec[0] == "w1s":
-        return w1s_norm(psi, spec[1])
-    raise ValueError(f"unknown norm spec {spec!r}")
 
 
 def momenta(psi: FieldState) -> np.ndarray:

@@ -4,9 +4,15 @@ The profile solves  -Lap b - beta'(b^2) b + E b = 0  (positive, radial,
 monotone decreasing).  Solver routing:
 
   1D power      closed form  b(x) = ((1+sigma)E/c)^(1/(2 sigma)) sech^(1/sigma)(sigma sqrt(E) x)
-  3D power      Petviashvili iteration on u = r b (DST Laplacian); shooting
+  3D power      Petviashvili iteration on u = r b (DST Laplacian), its tail
+                below 1e-12 b(0) continued as C e^{-sqrt(E) r}/r; shooting
                 is kept as an independent cross-check
   saturable     shooting with bisection on b(0) and a smooth exponential tail
+
+A power family scales one reference profile B, the ground state at E = 1:
+b(E, r) = E^(1/(2 sigma)) B(sqrt(E) r), so m(E) = m(1) E^(1/sigma - d/2) and
+the E-derivatives of b are closed forms in (log B)' and (log B)''.  Only the
+saturable kind needs the mass curve and differences of profiles in E.
 
 Residual norms are measured with spectral differentiation (periodic even
 extension in 1D, odd-extension DST of u = r b in 3D): a second-order stencil
@@ -74,14 +80,22 @@ class GroundStateProfile:
         slope, _ = np.linalg.lstsq(A, logb, rcond=None)[0]
         return float(-slope)
 
+    def _log_spline(self) -> "_RadialSpline":
+        if self._log_b is None:
+            self._log_b = _RadialSpline(self.r, np.log(self.b))
+        return self._log_b
+
     def __call__(self, r):
         """Evaluate b at arbitrary radii (log-cubic inside, log-linear tail)."""
         r = np.abs(np.asarray(r, dtype=float))
         if self.exact is not None:
             return self.exact(r)
-        if self._log_b is None:
-            self._log_b = _RadialSpline(self.r, np.log(self.b))
-        return np.exp(self._log_b(r))
+        return np.exp(self._log_spline()(r))
+
+    def log_derivatives(self, r):
+        """((log b)', (log b)'') of the interpolant that __call__ evaluates,
+        at radii r >= 0."""
+        return self._log_spline().derivatives(np.asarray(r, dtype=float))
 
 
 class _RadialSpline:
@@ -101,6 +115,14 @@ class _RadialSpline:
         out[inside] = self._spline(r[inside])
         out[~inside] = self._y_end + self._slope * (r[~inside] - self._r_end)
         return out
+
+    def derivatives(self, r: np.ndarray):
+        """(y', y''): the spline's inside, the line's past the last sample."""
+        d1, d2 = np.full_like(r, self._slope), np.zeros_like(r)
+        inside = r <= self._r_end
+        d1[inside] = self._spline(r[inside], 1)
+        d2[inside] = self._spline(r[inside], 2)
+        return d1, d2
 
 
 def mass_of(profile: GroundStateProfile) -> float:
@@ -151,21 +173,6 @@ def _closed_form_1d(model: NonlinearityModel, energy: float):
         return amp * _sech(a * np.asarray(r, dtype=float)) ** (1.0 / sg)
 
     return b
-
-
-def _closed_form_dE_1d(model: NonlinearityModel, energy: float, r, b):
-    """(d b/dE, d^2 b/dE^2) of the closed form at radii r, given b there.
-
-    With a = sigma sqrt(E), d log b/dE = g = 1/(2 sigma E) - r tanh(a r)/(2 sqrt E),
-    so b_E = b g and b_EE = b (g^2 + g')."""
-    sg = model.sigma
-    rt = math.sqrt(energy)
-    th = np.tanh(sg * rt * r)
-    g = 1.0 / (2.0 * sg * energy) - r * th / (2.0 * rt)
-    dg = (-1.0 / (2.0 * sg * energy**2) - sg * r**2 * (1.0 - th * th) / (4.0 * energy)
-          + r * th / (4.0 * energy * rt))
-    b_E = b * g
-    return b_E, b_E * g + b * dg
 
 
 def _shoot_once(model, energy, dim, b0, r_max, rtol=1e-12, atol=1e-14):
@@ -313,7 +320,14 @@ def petviashvili_ground_state(model: NonlinearityModel, energy: float,
     # b is even: quadratic in r^2 through the first interior samples
     coef = np.polyfit(ri[:4] ** 2, b[1:5], 2)
     b[0] = np.polyval(coef, 0.0)
-    b[-1] = max(b[-2] * math.exp(-math.sqrt(energy) * h), 1e-300)
+    b[-1] = b[-2] * math.exp(-math.sqrt(energy) * h)
+    # below 1e-12 b(0) the iterate is roundoff noise, which the log-cubic
+    # interpolant would ring on: continue along the decaying tail
+    # C e^{-sqrt(E) r} / r, matched at the last sample above that floor
+    low = np.flatnonzero(b < 1e-12 * b[0])
+    if len(low):
+        k = low[0] - 1
+        b[k + 1:] = b[k] * r[k] / r[k + 1:] * np.exp(-math.sqrt(energy) * (r[k + 1:] - r[k]))
     b = np.maximum(b, 1e-300)
     prof = GroundStateProfile(energy, 3, r, b, model)
     prof.residual = profile_residual(prof, model)
@@ -458,7 +472,9 @@ class SolitonFamily:
     """Ground states parametrized by total mass, plus boosted solitons.
 
     `m_ref` is the reference mass m; a parameter vector p shifts the total
-    mass to m + p4/2 via the mass curve.
+    mass to m + p4/2.  A power family scales its reference profile B (the
+    closed form in 1D, one solve in 3D); a saturable family reads E(m) off
+    the mass curve `curve`, which a power family ignores.
     """
 
     def __init__(self, model: NonlinearityModel, dim: int, m_ref: float,
@@ -471,26 +487,40 @@ class SolitonFamily:
         self.r_max = r_max
         self.n_r = n_r
         self.wrap_tol = wrap_tol
-        self._analytic = model.kind == "power" and dim == 1
-        if self._analytic:
+        self._power = model.kind == "power"
+        if self._power:
             sg, c = model.sigma, model.c
-            i_sg = math.sqrt(math.pi) * math.gamma(1.0 / sg) / math.gamma(1.0 / sg + 0.5)
-            self._K = ((1.0 + sg) / c) ** (1.0 / sg) * i_sg / (2.0 * sg)
-            self._expo = 1.0 / sg - 0.5
+            self._expo = 1.0 / sg - dim / 2.0
+            if self._expo <= 0:
+                raise GroundStateError(
+                    f"{dim}D power with sigma = {sg}: mass decreases with E (h2 fails)")
+            if dim == 1:
+                i_sg = math.sqrt(math.pi) * math.gamma(1.0 / sg) / math.gamma(1.0 / sg + 0.5)
+                self._K = ((1.0 + sg) / c) ** (1.0 / sg) * i_sg / (2.0 * sg)
+                self._ref = _closed_form_1d(model, 1.0)
+
+                def log_derivatives(rho):      # log B = const + log sech(sigma rho) / sigma
+                    th = np.tanh(sg * rho)
+                    return -th, -sg * (1.0 - th * th)
+                self._ref_log_derivatives = log_derivatives
+            else:
+                self._ref = solve_ground_state(model, 1.0, dim, r_max=r_max, n=n_r)
+                self._K = self._ref.mass
+                self._ref_log_derivatives = self._ref.log_derivatives
         elif curve is None:
-            raise GroundStateError("non-closed-form family needs a mass curve")
+            raise GroundStateError("saturable family needs a mass curve")
         self._profiles: dict = {}
 
     # mass <-> energy
     def energy_of_mass(self, mtot: float) -> float:
         if mtot <= 0:
             raise GroundStateError("total mass must be positive")
-        if self._analytic:
+        if self._power:
             return (mtot / self._K) ** (1.0 / self._expo)
         return energy_of_mass(self.curve, mtot)
 
     def mass_of_energy(self, energy: float) -> float:
-        if self._analytic:
+        if self._power:
             return self._K * energy**self._expo
         return self.curve.mass_at(energy)
 
@@ -499,13 +529,14 @@ class SolitonFamily:
 
     def _mass_derivatives(self, energy: float, mtot: float):
         """(E'(m), E''(m)) at total mass mtot = m(energy)."""
-        if self._analytic:
+        if self._power:
             alpha = 1.0 / self._expo                 # E = (m/K)^alpha
             return alpha * energy / mtot, alpha * (alpha - 1.0) * energy / mtot**2
         s1, s2 = self.curve.slope_at(energy), self.curve.curvature_at(energy)
         return 1.0 / s1, -s2 / s1**3
 
     def profile(self, energy: float) -> GroundStateProfile:
+        """The saturable kind's solved profile at `energy` (cached)."""
         key = round(float(energy), 14)
         if key not in self._profiles:
             self._profiles[key] = solve_ground_state(
@@ -517,39 +548,44 @@ class SolitonFamily:
     def profile_on_grid(self, energy: float, grid: Grid,
                         wrap_tol: float | None = None) -> np.ndarray:
         wrap_tol = self.wrap_tol if wrap_tol is None else wrap_tol
-        edge_r = min(L / 2.0 for L in grid.length)
-        if self._analytic:
-            # closed form sampled directly (the extraction hot path)
-            bfun = _closed_form_1d(self.model, energy)
-            ratio = float(bfun(edge_r)) / float(bfun(0.0))
-            if ratio > wrap_tol:
-                raise GroundStateError(
-                    f"profile not decayed at box edge: b(edge)/b(0) = {ratio:.2e}")
-            return bfun(grid.radius)
-        prof = self.profile(energy)
-        edge = prof(edge_r)
-        if edge > wrap_tol * prof.b[0]:
+        if self._power:
+            scale, rt = energy ** (0.5 / self.model.sigma), math.sqrt(energy)
+
+            def prof(r):
+                return scale * self._ref(rt * r)
+        else:
+            prof = self.profile(energy)
+        ratio = float(prof(min(L / 2.0 for L in grid.length))) / float(prof(0.0))
+        if ratio > wrap_tol:
             raise GroundStateError(
-                f"profile not decayed at box edge: b(edge)/b(0) = {edge / prof.b[0]:.2e}")
+                f"profile not decayed at box edge: b(edge)/b(0) = {ratio:.2e}")
         return prof(grid.radius)
 
     def dbdE_on_grid(self, energy: float, grid: Grid, b: np.ndarray):
         """(d b/dE, d^2 b/dE^2) on the grid, given b = profile_on_grid(energy).
 
-        Closed form for the 1D power family.  Otherwise the log-profiles at
-        E, E +- h and E +- h/2 (h = 1e-4 E) are differenced on their own
-        radial grid, d log b/dE by one Richardson step and d^2 log b/dE^2 at
-        step h, and each is sampled once; the profile's interpolant is linear
-        in log b, so these are the E-derivatives of profile_on_grid."""
+        With g = d log b/dE, b_E = b g and b_EE = b (g^2 + g').  For the power
+        kind g follows from the scaling law and (log B)', (log B)'' at
+        rho = sqrt(E) r.  For the saturable kind the log-profiles at E, E +- h
+        and E +- h/2 (h = 1e-4 E) are differenced on their own radial grid,
+        g by one Richardson step and g' at step h, and each is sampled once;
+        the profile's interpolant is linear in log b, so these are the
+        E-derivatives of profile_on_grid."""
         r = grid.radius
-        if self._analytic:
-            return _closed_form_dE_1d(self.model, energy, r, b)
-        hE = 1e-4 * energy
-        lb = {s: np.log(self.profile(energy + s * hE).b) for s in (-1.0, -0.5, 0.0, 0.5, 1.0)}
-        g = (8.0 * (lb[0.5] - lb[-0.5]) - (lb[1.0] - lb[-1.0])) / (6.0 * hE)
-        dg = (lb[1.0] - 2.0 * lb[0.0] + lb[-1.0]) / hE**2
-        r_prof = self.profile(energy).r
-        g, dg = _RadialSpline(r_prof, g)(r), _RadialSpline(r_prof, dg)(r)
+        if self._power:
+            sg, rt = self.model.sigma, math.sqrt(energy)
+            d1, d2 = self._ref_log_derivatives(rt * r)
+            g = 1.0 / (2.0 * sg * energy) + r * d1 / (2.0 * rt)
+            dg = (-1.0 / (2.0 * sg * energy**2) + r**2 * d2 / (4.0 * energy)
+                  - r * d1 / (4.0 * energy * rt))
+        else:
+            hE = 1e-4 * energy
+            lb = {s: np.log(self.profile(energy + s * hE).b)
+                  for s in (-1.0, -0.5, 0.0, 0.5, 1.0)}
+            g = (8.0 * (lb[0.5] - lb[-0.5]) - (lb[1.0] - lb[-1.0])) / (6.0 * hE)
+            dg = (lb[1.0] - 2.0 * lb[0.0] + lb[-1.0]) / hE**2
+            r_prof = self.profile(energy).r
+            g, dg = _RadialSpline(r_prof, g)(r), _RadialSpline(r_prof, dg)(r)
         b_E = b * g
         return b_E, b_E * g + b * dg
 

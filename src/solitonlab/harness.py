@@ -67,17 +67,16 @@ class SweepResult:
 
 
 def make_family(cfg: SimulationConfig) -> SolitonFamily:
-    if cfg.model.kind == "power" and cfg.dim == 1:
-        if cfg.reference_mass is not None:
-            return SolitonFamily(cfg.model, 1, m_ref=cfg.reference_mass)
-        fam = SolitonFamily(cfg.model, 1, m_ref=1.0)     # placeholder mass
-        m_ref = fam.mass_of_energy(cfg.reference_energy)
-        return SolitonFamily(cfg.model, 1, m_ref=m_ref)
-    curve = mass_curve(cfg.model, 0.5 * cfg.reference_energy,
-                       1.5 * cfg.reference_energy, 9, dim=cfg.dim)
-    m_ref = (cfg.reference_mass if cfg.reference_mass is not None
-             else curve.mass_at(cfg.reference_energy))
-    return SolitonFamily(cfg.model, cfg.dim, m_ref=m_ref, curve=curve)
+    """The run's soliton family.  Only the saturable kind needs a mass curve:
+    a power family scales one reference profile."""
+    curve = None
+    if cfg.model.kind != "power":
+        curve = mass_curve(cfg.model, 0.5 * cfg.reference_energy,
+                           1.5 * cfg.reference_energy, 9, dim=cfg.dim)
+    family = SolitonFamily(cfg.model, cfg.dim, m_ref=cfg.reference_mass or 1.0, curve=curve)
+    if cfg.reference_mass is None:
+        family.m_ref = family.mass_of_energy(cfg.reference_energy)
+    return family
 
 
 def build_perturbation(grid: Grid, family: SolitonFamily, p_bar, size: float,
@@ -134,10 +133,10 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
     m_used = family.m_ref + dec0.coords.p[3] / 2.0
 
     # effective potential at the extracted mass, on the symmetry axis
-    axis = cfg.potential.axis if cfg.potential.terms else 0
     e_used = family.energy_of_mass(m_used)
     b_used = family.profile_on_grid(e_used, grid)
     veff = build_effective_potential(cfg.potential, b_used, grid, m_used)
+    axis = veff.axis
 
     axial = cfg.dim == 1 or (cfg.potential.is_axisymmetric()
                              and np.allclose(np.delete(dec0.coords.p[:3], axis), 0, atol=1e-9)
@@ -372,7 +371,7 @@ def compare(record: RunRecord, orbit: MechOrbit) -> dict:
     """Distance of the extracted trajectory to a mechanical orbit, plus a
     side-by-side (t, q_pde, q_mech) table."""
     cfg = record.config
-    axis = cfg.potential.axis if cfg.potential.terms else 0
+    axis = record.veff.axis
     ts = record.rows["t"]
     d = np.array([
         orbit_distance(MechState(record.rows[f"p{axis + 1}"][i],
@@ -385,7 +384,7 @@ def compare(record: RunRecord, orbit: MechOrbit) -> dict:
         "mean_d_eps": float(np.mean(d)),
         "table": {"t": ts, "q_pde": record.rows[f"q{axis + 1}"], "q_mech": q_mech},
     }
-    if record.veff is not None and cfg.epsilon > 0:
+    if cfg.epsilon > 0:
         out["critical_margin"] = critical_margin(
             record.summary["h_mech0"] / cfg.epsilon, record.veff)
     return out

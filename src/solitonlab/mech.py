@@ -60,11 +60,13 @@ class _UniformCubic:
 class EffectivePotential:
     """V^eff at the nodes of the symmetry axis (`grid`, 1D), its spectral
     derivative `grad` there, and the cubic spline through `values` that
-    gives V^eff and its force between the nodes."""
+    gives V^eff and its force between the nodes.  `axis` is the field
+    grid's axis that the cut runs along."""
     mass: float
     grid: Grid
     values: np.ndarray
     grad: np.ndarray
+    axis: int = 0
 
     def __post_init__(self):
         self._spline = CubicSpline(self.grid.axes[0], self.values)
@@ -102,7 +104,7 @@ def build_effective_potential(potential: PotentialModel, b_grid: np.ndarray,
     values = np.ascontiguousarray(
         conv[tuple(slice(None) if j == axis else n // 2 for j, n in enumerate(grid.n))])
     grad = sfft.ifft(1j * line.k_deriv[0] * sfft.fft(values)).real
-    return EffectivePotential(mass=mass, grid=line, values=values, grad=grad)
+    return EffectivePotential(mass=mass, grid=line, values=values, grad=grad, axis=axis)
 
 
 @dataclass

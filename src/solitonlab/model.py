@@ -26,8 +26,6 @@ __all__ = [
     "PotentialTerm",
     "PotentialModel",
     "SimulationConfig",
-    "beta_eval",
-    "potential_eval",
     "validate_config",
     "load_config",
     "config_hash",
@@ -107,17 +105,6 @@ class NonlinearityModel:
         return np.abs(d(s)) / (1.0 + s) ** (1.0 + self.p_growth - k)
 
 
-def beta_eval(model: NonlinearityModel, s: float):
-    """Return (beta(s), beta'(s), beta''(s)); s must be >= 0."""
-    if np.any(np.asarray(s) < 0):
-        raise ValueError("beta_eval: argument must be nonnegative")
-    return (
-        float(model.beta(s)),
-        float(model.beta_prime(s)),
-        float(model.beta_second(s)),
-    )
-
-
 @dataclass(frozen=True)
 class PotentialTerm:
     amplitude: float
@@ -183,15 +170,6 @@ class PotentialModel:
             shape = np.broadcast(*[np.asarray(c) for c in coords]).shape if coords else ()
             return [np.zeros(shape) for _ in coords]
         return [np.asarray(g) for g in gs]
-
-
-def potential_eval(model: PotentialModel, x):
-    """(V(x), grad V(x)) at a single point x (scalar in 1D or d-vector)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    coords = tuple(x)
-    v = model(*coords)
-    g = model.gradient(*coords)
-    return float(v), np.array([float(gj) for gj in g])
 
 
 # -- run configuration --------------------------------------------------------

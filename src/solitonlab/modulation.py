@@ -211,8 +211,7 @@ def newton_jacobian(ws: _Workspace, p, q) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def initial_guess(psi: FieldState, family: SolitonFamily,
-                  prev: SolitonCoordinates | None = None):
+def initial_guess(psi: FieldState, family: SolitonFamily):
     """(coords, info): centroid position, spectral momenta, mass offset, and
     the gauge angle from the complex pairing with the guessed soliton."""
     g = psi.grid
@@ -247,11 +246,6 @@ def initial_guess(psi: FieldState, family: SolitonFamily,
     eta_guess = family.build(SolitonParameters(tuple(p_ref), tuple(q)), g)
     z = complex(np.sum(psi.values * np.conj(eta_guess.values)))
     q[3] = -np.angle(z)
-
-    if prev is not None:
-        q[3] += 2.0 * np.pi * np.round((prev.q[3] - q[3]) / (2.0 * np.pi))
-        for j in range(g.dim):
-            q[j] += g.length[j] * np.round((prev.q[j] - q[j]) / g.length[j])
     return SolitonCoordinates(p, q), info
 
 

@@ -6,7 +6,7 @@ import pytest
 from solitonlab.field import (FieldState, Grid, GridMismatchError, apply_A,
                               apply_symmetry, boundary_mass_fraction, gradient,
                               h1_norm, inner, l2_norm, load_field, momenta,
-                              norm, omega, save_field, sobolev_norm, w1s_norm)
+                              omega, save_field, w1s_norm)
 
 
 def _sech_field(grid):
@@ -54,8 +54,7 @@ def test_sech_l2_norm(grid512):
 
 def test_zero_norms(grid512):
     z = FieldState(grid512, np.zeros(grid512.n, complex))
-    for spec in ("l2", "h1", ("hsk", 1.0, 2.0), ("w1s", 4.0)):
-        assert norm(z, spec) == 0.0
+    assert l2_norm(z) == h1_norm(z) == w1s_norm(z, 4.0) == 0.0
 
 
 def test_w1s_plane_wave(grid512):
@@ -64,18 +63,6 @@ def test_w1s_plane_wave(grid512):
     psi = FieldState(grid512, np.exp(1j * k * grid512.x[0]) + 0j)
     expect = L ** (1.0 / 4.0) * (1.0 + abs(k))
     assert w1s_norm(psi, 4.0) == pytest.approx(expect, rel=1e-12)
-
-
-def test_sobolev_weighted_norm(grid512):
-    # s = 0, k = 1: plain <x>-weighted L2, checked against direct quadrature
-    g = grid512
-    psi = _sech_field(g)
-    direct = math.sqrt(g.cell * np.sum((1 + g.x[0] ** 2) * np.abs(psi.values) ** 2))
-    assert sobolev_norm(psi, 0.0, 1.0) == pytest.approx(direct, rel=1e-12)
-    # s = 2 on a plane wave: (1 + k^2) amplification
-    k = g.k_axes[0][3]
-    pw = FieldState(g, np.exp(1j * k * g.x[0]) + 0j)
-    assert sobolev_norm(pw, 2.0) == pytest.approx((1 + k**2) * l2_norm(pw), rel=1e-12)
 
 
 def test_momenta_real_field(grid512):

@@ -110,6 +110,17 @@ def test_3d_two_direction_shooting_match(prof3):
     assert prof3(r_mid) == pytest.approx(b_o, rel=1e-4)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 1.0 / 3.0], ids=["sigma0.5", "sigma1_3"])
+def test_3d_profile_tail_is_clean(sigma):
+    # at the default radii the iterate's tail sinks into roundoff before
+    # r_max; the interpolant stays a decaying profile, past r_max too
+    prof = petviashvili_ground_state(NonlinearityModel("power", sigma=sigma, c=1.0), 1.0)
+    b = prof(np.linspace(0.0, 60.0, 6001))
+    assert np.all(b > 0)
+    assert np.all(np.diff(b) <= 0)
+    assert np.max(b) <= prof.b[0]
+
+
 def test_3d_supercritical_warns(cubic):
     with pytest.warns(UserWarning, match="h2"):
         solve_ground_state(cubic, 1.0, dim=3, r_max=25.0, n=1024)
@@ -200,6 +211,16 @@ def test_profile_follows_the_grid(cubic):
         assert b.shape == (n,)
         assert np.max(np.abs(b - 1.0 / np.cosh(grid.axes[0]))) < 1e-15
         del grid, b
+
+
+def test_power_family_3d_scaling_law():
+    # m(E) = m(1) E^(1/sigma - 3/2) against a separate solve at each energy
+    fam = SolitonFamily(SQRT_MODEL, 3, m_ref=1.0)
+    for E in (0.9, 1.1, 1.3):
+        want = solve_ground_state(SQRT_MODEL, E, dim=3).mass
+        assert fam.mass_of_energy(E) == pytest.approx(want, rel=1e-13)
+    with pytest.raises(GroundStateError, match="h2"):
+        SolitonFamily(NonlinearityModel("power", sigma=2.0 / 3.0, c=1.0), 3, m_ref=1.0)
 
 
 def test_family_analytic_inverse(family):
@@ -293,18 +314,22 @@ def test_tangent_matches_finite_difference(family, grid512):
         assert np.max(np.abs(tg.t[j] - fd)) < 1e-7
 
 
-@pytest.mark.parametrize("model", [NonlinearityModel("power", sigma=1.0, c=2.0),
-                                   SQRT_MODEL], ids=["sigma1", "sigma0.5"])
-def test_closed_form_energy_derivatives(model, grid512):
+@pytest.mark.parametrize("model, dim, E", [
+    (NonlinearityModel("power", sigma=1.0, c=2.0), 1, 1.3), (SQRT_MODEL, 1, 1.3),
+    (SQRT_MODEL, 3, 1.07)], ids=["sigma1", "sigma0.5", "3d_sigma0.5"])
+def test_closed_form_energy_derivatives(model, dim, E, grid512):
     # b_E and b_EE against centred differences of the sampled profile in E
-    fam = SolitonFamily(model, 1, m_ref=1.0)
-    E = 1.3
-    b_E, b_EE = fam.dbdE_on_grid(E, grid512, fam.profile_on_grid(E, grid512))
+    if dim == 1:
+        fam, grid = SolitonFamily(model, 1, m_ref=1.0), grid512
+    else:
+        fam = SolitonFamily(model, 3, m_ref=1.0, r_max=25.0, n_r=1024, wrap_tol=1e-6)
+        grid = Grid(3, 32, 28.0)
+    b_E, b_EE = fam.dbdE_on_grid(E, grid, fam.profile_on_grid(E, grid))
     h1, h2 = 1e-5 * E, 3e-4 * E
-    fd1 = (fam.profile_on_grid(E + h1, grid512)
-           - fam.profile_on_grid(E - h1, grid512)) / (2 * h1)
-    fd2 = (fam.profile_on_grid(E + h2, grid512) - 2 * fam.profile_on_grid(E, grid512)
-           + fam.profile_on_grid(E - h2, grid512)) / h2**2
+    fd1 = (fam.profile_on_grid(E + h1, grid)
+           - fam.profile_on_grid(E - h1, grid)) / (2 * h1)
+    fd2 = (fam.profile_on_grid(E + h2, grid) - 2 * fam.profile_on_grid(E, grid)
+           + fam.profile_on_grid(E - h2, grid)) / h2**2
     assert np.max(np.abs(b_E - fd1)) < 1e-9 * np.max(np.abs(b_E))
     assert np.max(np.abs(b_EE - fd2)) < 1e-7 * np.max(np.abs(b_EE))
 

@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 
 from solitonlab.model import (ConfigError, NonlinearityModel, PotentialModel,
-                              SimulationConfig, beta_eval, config_hash,
-                              load_config, potential_eval, validate_config)
+                              SimulationConfig, config_hash, load_config,
+                              validate_config)
+
+
+def _beta3(m, s):
+    """(beta, beta', beta'') of the model at s."""
+    return float(m.beta(s)), float(m.beta_prime(s)), float(m.beta_second(s))
 
 
 def test_beta_power_cubic_values():
     m = NonlinearityModel("power", sigma=1.0, c=2.0)
-    assert beta_eval(m, 0.0) == (0.0, 0.0, 2.0)
-    assert beta_eval(m, 1.0) == (1.0, 2.0, 2.0)
+    assert _beta3(m, 0.0) == (0.0, 0.0, 2.0)
+    assert _beta3(m, 1.0) == (1.0, 2.0, 2.0)
 
 
 def test_beta_power_sqrt_values():
     m = NonlinearityModel("power", sigma=0.5, c=1.0)
-    b, bp, bpp = beta_eval(m, 4.0)
+    b, bp, bpp = _beta3(m, 4.0)
     assert b == pytest.approx(16.0 / 3.0, rel=1e-15)
     assert bp == pytest.approx(2.0, rel=1e-15)
     assert bpp == pytest.approx(0.25, rel=1e-15)
@@ -24,17 +29,11 @@ def test_beta_power_sqrt_values():
 
 def test_beta_saturable():
     m = NonlinearityModel("saturable", c=3.0)
-    assert beta_eval(m, 0.0)[1] == 0.0
-    b, bp, bpp = beta_eval(m, 1.0)
+    assert m.beta_prime(0.0) == 0.0
+    b, bp, bpp = _beta3(m, 1.0)
     assert bp == pytest.approx(1.5)
     assert bpp == pytest.approx(0.75)
     assert b == pytest.approx(3.0 * (1.0 - math.log(2.0)))
-
-
-def test_beta_negative_argument_rejected():
-    m = NonlinearityModel("power", 1.0, 2.0)
-    with pytest.raises(ValueError):
-        beta_eval(m, -0.1)
 
 
 @pytest.mark.parametrize("m", [
@@ -91,19 +90,16 @@ def test_model_validation():
 
 def test_potential_single_peak():
     pot = PotentialModel.gaussians([(1.0, [0.0], 1.0)])
-    v, g = potential_eval(pot, 0.0)
-    assert v == pytest.approx(1.0)
-    assert g[0] == pytest.approx(0.0)
-    v, g = potential_eval(pot, 1.0)
-    assert v == pytest.approx(math.exp(-0.5), rel=1e-15)
-    assert g[0] == pytest.approx(-math.exp(-0.5), rel=1e-15)
+    assert pot(0.0) == pytest.approx(1.0)
+    assert pot.gradient(0.0)[0] == pytest.approx(0.0)
+    assert pot(1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert pot.gradient(1.0)[0] == pytest.approx(-math.exp(-0.5), rel=1e-15)
 
 
 def test_potential_empty():
     pot = PotentialModel()
-    v, g = potential_eval(pot, 2.3)
-    assert v == 0.0
-    assert g[0] == 0.0
+    assert pot(2.3) == 0.0
+    assert pot.gradient(2.3)[0] == 0.0
 
 
 def test_potential_gradient_matches_fd(rng):
@@ -112,11 +108,11 @@ def test_potential_gradient_matches_fd(rng):
     h = 1e-5
     for _ in range(100):
         x = rng.uniform(-4, 4, size=3)
-        _, g = potential_eval(pot, x)
+        g = pot.gradient(*x)
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            fd = (potential_eval(pot, x + e)[0] - potential_eval(pot, x - e)[0]) / (2 * h)
+            fd = (pot(*(x + e)) - pot(*(x - e))) / (2 * h)
             assert abs(fd - g[j]) <= 1e-8 * max(1.0, abs(g[j]))
 
 
