@@ -545,18 +545,27 @@ class SolitonFamily:
                 self._profiles.pop(next(iter(self._profiles)))
         return self._profiles[key]
 
-    def profile_on_grid(self, energy: float, grid: Grid,
-                        wrap_tol: float | None = None) -> np.ndarray:
-        wrap_tol = self.wrap_tol if wrap_tol is None else wrap_tol
-        if self._power:
-            scale, rt = energy ** (0.5 / self.model.sigma), math.sqrt(energy)
+    def radial_profile(self, energy: float):
+        """b_E as a function of the radius: E^(1/(2 sigma)) B(sqrt(E) r) for
+        the power kind, the solved profile for the saturable kind."""
+        if not self._power:
+            return self.profile(energy)
+        scale, rt = energy ** (0.5 / self.model.sigma), math.sqrt(energy)
+        return lambda r: scale * self._ref(rt * r)
 
-            def prof(r):
-                return scale * self._ref(rt * r)
-        else:
-            prof = self.profile(energy)
+    def radial_samples(self, energy: float, max_spacing: float = math.inf):
+        """(r, h, b_E(r)) at r = 0, h, ..., r_max / sqrt(E), h <= max_spacing and
+        h <= 1/(4 sqrt(E) max(1, sigma)) (sigma = 1 for the saturable kind)."""
+        sigma = self.model.sigma if self._power else 1.0
+        r_end = self.r_max / math.sqrt(energy)
+        n = math.ceil(max(4.0 * max(1.0, sigma) * self.r_max, r_end / max_spacing))
+        r, h = np.linspace(0.0, r_end, n + 1, retstep=True)
+        return r, h, self.radial_profile(energy)(r)
+
+    def profile_on_grid(self, energy: float, grid: Grid) -> np.ndarray:
+        prof = self.radial_profile(energy)
         ratio = float(prof(min(L / 2.0 for L in grid.length))) / float(prof(0.0))
-        if ratio > wrap_tol:
+        if ratio > self.wrap_tol:
             raise GroundStateError(
                 f"profile not decayed at box edge: b(edge)/b(0) = {ratio:.2e}")
         return prof(grid.radius)

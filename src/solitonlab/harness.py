@@ -133,9 +133,8 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
     m_used = family.m_ref + dec0.coords.p[3] / 2.0
 
     # effective potential at the extracted mass, on the symmetry axis
-    e_used = family.energy_of_mass(m_used)
-    b_used = family.profile_on_grid(e_used, grid)
-    veff = build_effective_potential(cfg.potential, b_used, grid, m_used)
+    veff = build_effective_potential(cfg.potential, family, family.energy_of_mass(m_used),
+                                     grid, m_used)
     axis = veff.axis
 
     axial = cfg.dim == 1 or (cfg.potential.is_axisymmetric()

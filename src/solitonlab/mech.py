@@ -1,11 +1,13 @@
 """Effective finite-dimensional soliton mechanics on the symmetry axis.
 
-V^eff_m(q) = ∫ V(x+q) b^2(x) dx is computed as an FFT convolution on the
-field grid (b^2 is even) and cut to the line through the box centre along
-the potential's symmetry axis, where the mechanics run: a 1D grid, the whole
-grid in 1D.  The cut is cubically interpolated for the ODE; the force used
-by the integrator is the exact derivative of the energy's spline so that
-leapfrog energy errors stay bounded.  H_mech = p^2/(2m) + eps V^eff(q).
+V^eff_m(q) = ∫ V(x+q) b^2(x) dx over R^d.  A Gaussian term A e^{-|y-c|^2/2w^2}
+at distance D from q gives, with g±(r) = e^{-(r±D)^2/2w^2}, A ∫_0^∞ b^2 (g- + g+)
+dr in 1D and (2π A w^2/D) ∫_0^∞ r b^2 (g- - g+) dr in 3D, evaluated in a form
+that does not divide by D.  Trapezoid rules over b = b_E, spectrally accurate
+for these even integrands, give V^eff and dV^eff/dq (differentiated under the
+integral) at the nodes of the line through the box centre along the symmetry
+axis.  The leapfrog's force, the exact derivative of the cubic spline through
+those values, keeps its energy errors bounded.  H_mech = p^2/(2m) + eps V^eff(q).
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 from scipy.interpolate import CubicSpline
+from scipy.special import exprel, ive
 
 from .field import Grid
+from .groundstate import SolitonFamily
 from .model import PotentialModel
 
 __all__ = [
@@ -58,10 +61,9 @@ class _UniformCubic:
 
 @dataclass
 class EffectivePotential:
-    """V^eff at the nodes of the symmetry axis (`grid`, 1D), its spectral
-    derivative `grad` there, and the cubic spline through `values` that
-    gives V^eff and its force between the nodes.  `axis` is the field
-    grid's axis that the cut runs along."""
+    """V^eff at the nodes of the symmetry axis (`grid`, 1D), its derivative
+    `grad` there, and the cubic spline through `values` for V^eff and its force
+    between the nodes; `axis` is the field grid's axis the line runs along."""
     mass: float
     grid: Grid
     values: np.ndarray
@@ -73,37 +75,53 @@ class EffectivePotential:
         self._dspline = self._spline.derivative()
         self._fast = _UniformCubic(self._spline)
 
-    def _coord(self, q) -> float:
-        """The axial coordinate q (a scalar or a length-1 array), in range."""
+    def value_at(self, q) -> float:
+        """V^eff at the axial coordinate q (a scalar or a length-1 array)."""
         (q,) = np.atleast_1d(np.asarray(q, dtype=float))
         a = self.grid.axes[0]
         if not a[0] <= q <= a[-1]:
             raise MechError(f"q={q:.4g} outside interpolation range")
-        return float(q)
-
-    def value_at(self, q) -> float:
-        return self._fast(self._coord(q))
-
-    def grad_at(self, q) -> np.ndarray:
-        return np.array([self._fast.deriv(self._coord(q))])
+        return self._fast(float(q))
 
 
-def build_effective_potential(potential: PotentialModel, b_grid: np.ndarray,
-                              grid: Grid, mass: float) -> EffectivePotential:
-    """Spectral convolution (V * b^2)(q) on `grid` (b^2 must be centered and
-    decayed), cut to the line through the box centre along the symmetry
-    axis, with the spectral derivative of the cut."""
-    b2 = np.asarray(b_grid, dtype=float) ** 2
-    edge = [np.max(np.abs(np.take(b2, [0], axis=j))) for j in range(grid.dim)]
-    if max(edge) > 1e-8 * np.max(b2):
-        raise MechError("soliton density not decayed at the box edge (wrap-around)")
-    V = np.broadcast_to(potential(*grid.x), grid.n) if potential.terms else np.zeros(grid.n)
-    conv = sfft.ifftn(sfft.fftn(V) * sfft.fftn(np.fft.ifftshift(b2))).real * grid.cell
+def build_effective_potential(potential: PotentialModel, family: SolitonFamily,
+                              energy: float, grid: Grid, mass: float) -> EffectivePotential:
+    """V^eff and dV^eff/dq of b_E on `grid`'s symmetry-axis line by the radial
+    quadratures of the module docstring.  The radial spacing is at most w/3 for
+    every width w: on a 1D well against adaptive quadrature it keeps V^eff and its
+    gradient within 2e-14 for w = 0.05 ... 0.5, where w/2 leaves 2e-13."""
     axis = potential.axis if potential.terms else 0
     line = Grid(1, grid.n[axis], grid.length[axis])
-    values = np.ascontiguousarray(
-        conv[tuple(slice(None) if j == axis else n // 2 for j, n in enumerate(grid.n))])
-    grad = sfft.ifft(1j * line.k_deriv[0] * sfft.fft(values)).real
+    values, grad = np.zeros(line.n), np.zeros(line.n)
+    r, h, b = family.radial_samples(
+        energy, min((t.width for t in potential.terms), default=math.inf) / 3.0)
+    wb2 = h * b**2 * (r * r if grid.dim == 3 else 1.0)
+    wb2[0] *= 0.5
+    for t in potential.terms:
+        c = np.asarray(t.center, dtype=float)
+        off = line.axes[0] - c[axis]      # signed; D = |off| in 1D, |q e_axis - c| in 3D
+        w2 = t.width**2
+        if grid.dim == 1:                 # A ∫ b^2 g∓ and A ∫ b^2 (r ∓ D) g∓ / w^2
+            for s in (-1.0, 1.0):
+                x = r + s * off[:, None]
+                g = x * x * (-0.5 / w2)   # in place: two (node, r) arrays per sign
+                np.exp(g, out=g)
+                values += t.amplitude * (g @ wb2)
+                g *= x
+                grad -= s * t.amplitude / w2 * (g @ wb2)
+            continue
+        # 3D, a = r D/w^2 (g+ = g- e^{-2a}): V^eff = 4π A ∫ r^2 b^2 g- exprel(-2a)
+        # and dV^eff/dq = -(4π A off/w^2) ∫ r^2 b^2 g- (exprel(-2a) - r^2/w^2 psi)
+        # with psi = e^{-a} (a cosh a - sinh a)/a^3 = e^{-a} sqrt(π/2a) I_{3/2}(a)/a.
+        # Neither divides by D; below a = 1e-100 both equal their a = 0 limits.
+        D = np.hypot(off, math.hypot(*np.delete(c, axis)))[:, None]
+        a = np.maximum(D * r / w2, 1e-100)
+        g = np.exp((r - D) ** 2 * (-0.5 / w2))
+        k = 4.0 * math.pi * t.amplitude
+        f = g * exprel(-2.0 * a)
+        values += k * (f @ wb2)
+        f -= g * np.sqrt(0.5 * math.pi / a) * ive(1.5, a) / a * (r * r / w2)
+        grad -= (k / w2) * off * (f @ wb2)
     return EffectivePotential(mass=mass, grid=line, values=values, grad=grad, axis=axis)
 
 

@@ -54,11 +54,6 @@ class NonlinearityModel:
         if self.kind == "power" and not 0 < self.sigma < 2:
             raise ValueError("power exponent must satisfy 0 < sigma < 2")
 
-    @property
-    def p_growth(self) -> float:
-        """Growth index p: beta grows like s**(1+p) at infinity."""
-        return self.sigma if self.kind == "power" else 0.0
-
     def beta(self, s):
         s = np.asarray(s, dtype=float)
         if self.kind == "power":
@@ -93,16 +88,6 @@ class NonlinearityModel:
                 out = np.where(s == 0.0, np.inf, out)
             return out
         return self.c / (1.0 + s) ** 2
-
-    def growth_ratio(self, s, k: int):
-        """|beta^(k)(s)| / (1+s)^(1+p-k), the quantity bounded by C_k.
-
-        Spot check only: the bound constants are never pinned down, so the
-        test asserts finiteness/stability over a sample range.
-        """
-        d = [self.beta, self.beta_prime, self.beta_second][k]
-        s = np.asarray(s, dtype=float)
-        return np.abs(d(s)) / (1.0 + s) ** (1.0 + self.p_growth - k)
 
 
 @dataclass(frozen=True)

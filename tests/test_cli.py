@@ -173,6 +173,9 @@ def test_cli_mech_3d(cfg_file, tmp_path):
     veff = read_csv(tmp_path / "out" / "veff.csv")
     assert len(veff["q"]) == 16 and veff["q"][8] == 0.0
     assert veff["Veff"][8] == min(veff["Veff"])             # the well's centre
+    # V^eff falls towards the well from both sides
+    assert all((dv > 0) == (q > 0)
+               for q, dv in zip(veff["q"], veff["dVeff"]) if abs(dv) > 1e-12)
     orbit = read_csv(tmp_path / "out" / "orbit.csv")
     assert orbit["q"][0] == 3.0 and len(orbit["t"]) > 1
 

@@ -1,11 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from solitonlab.field import Grid
-from solitonlab.harness import compare, epsilon_sweep
+from solitonlab.groundstate import SolitonFamily
+from solitonlab.harness import compare, epsilon_sweep, make_family
 from solitonlab.mech import (MIN_STEPS, MechError, MechOrbit, MechState,
                              build_effective_potential, critical_margin,
                              critical_values, mech_energy, mech_run,
@@ -16,23 +18,20 @@ from solitonlab.model import NonlinearityModel, PotentialModel, SimulationConfig
 @pytest.fixture(scope="module")
 def well_veff(family, grid512):
     pot = PotentialModel.gaussians([(-1.0, [0.0], 2.0)])
-    b = family.profile_on_grid(1.0, grid512)
-    return build_effective_potential(pot, b, grid512, mass=1.0)
+    return build_effective_potential(pot, family, 1.0, grid512, mass=1.0)
 
 
 def test_veff_constant_potential(family, grid512):
     # V ~ const A => V^eff = 2 m A (huge-width Gaussian stands in for A)
     pot = PotentialModel.gaussians([(0.7, [0.0], 1e6)])
-    b = family.profile_on_grid(1.0, grid512)
-    veff = build_effective_potential(pot, b, grid512, mass=1.0)
+    veff = build_effective_potential(pot, family, 1.0, grid512, mass=1.0)
     assert np.max(np.abs(veff.values - 2.0 * 0.7)) < 1e-8
 
 
 def test_veff_wide_potential_trend(family, grid512):
     # wide well: V^eff(q) ~ 2m V(q)
     pot = PotentialModel.gaussians([(-1.0, [0.0], 20.0)])
-    b = family.profile_on_grid(1.0, grid512)
-    veff = build_effective_potential(pot, b, grid512, mass=1.0)
+    veff = build_effective_potential(pot, family, 1.0, grid512, mass=1.0)
     for q in (0.0, 3.0, 10.0):
         v = float(pot(q))
         assert veff.value_at([q]) == pytest.approx(2.0 * v, rel=1e-2)
@@ -48,20 +47,45 @@ def test_veff_center_value_quadrature_oracle(well_veff):
 def test_veff_bound_and_symmetry(well_veff):
     # |V^eff| <= 2m max|V| and grad V^eff(0) = 0 for even V
     assert np.max(np.abs(well_veff.values)) <= 2.0 * 1.0 + 1e-12
-    assert abs(well_veff.grad_at([0.0])[0]) < 1e-10
+    assert abs(well_veff._fast.deriv(0.0)) < 1e-10
 
 
 def test_veff_matches_direct_quadrature(family, grid512, rng):
-    # spectral convolution vs direct quadrature at 10 random grid nodes
+    # radial quadrature vs the field-grid sums of V and of its analytic
+    # gradient at 10 random grid nodes: a well and a bump on the N = 512 grid,
+    # and a well of width 0.1 on an N = 4096 grid (spacing 0.03) that resolves
+    # it, where the radial spacing must follow the width, not the profile
+    cases = [(grid512, [(-1.0, [0.0], 2.0), (0.4, [5.0], 1.5)]),
+             (Grid(1, 4096, 40.0 * math.pi), [(-1.0, [0.3], 0.1)])]
+    for grid, terms in cases:
+        pot = PotentialModel.gaussians(terms)
+        veff = build_effective_potential(pot, family, 1.0, grid, mass=1.0)
+        x = grid.axes[0]
+        b2 = family.profile_on_grid(1.0, grid) ** 2
+        n = grid.n[0]
+        for i in rng.integers(n // 8, 7 * n // 8, size=10):
+            qi = x[i]
+            direct = grid.cell * float(np.sum(pot(x + qi) * b2))
+            assert veff.values[i] == pytest.approx(direct, rel=1e-8, abs=1e-14)
+            slope = grid.cell * float(np.sum(pot.gradient(x + qi)[0] * b2))
+            assert veff.grad[i] == pytest.approx(slope, rel=1e-8, abs=1e-14)
+
+
+def test_veff_saturable_family_matches_grid_sum():
+    # a saturable family (c = 3, E = 1, its profile from the shooting solver):
+    # V^eff and its gradient at every node of the N = 512 sweep grid against
+    # the field-grid sums cell * sum V(x + q) b^2 and cell * sum V'(x + q) b^2
+    cfg = SimulationConfig(model=NonlinearityModel("saturable", c=3.0), dim=1,
+                           grid_points=512, box_length=40 * math.pi, reference_energy=1.0)
+    family = make_family(cfg)
+    grid = Grid(1, 512, 40 * math.pi)
     pot = PotentialModel.gaussians([(-1.0, [0.0], 2.0), (0.4, [5.0], 1.5)])
-    b = family.profile_on_grid(1.0, grid512)
-    veff = build_effective_potential(pot, b, grid512, mass=1.0)
-    x = grid512.axes[0]
-    b2 = b**2
-    for i in rng.integers(64, 448, size=10):
-        qi = x[i]
-        direct = grid512.cell * float(np.sum(pot(x + qi) * b2))
-        assert veff.values[i] == pytest.approx(direct, rel=1e-8)
+    veff = build_effective_potential(pot, family, 1.0, grid, family.m_ref)
+    x = grid.axes[0]
+    b2 = family.profile_on_grid(1.0, grid) ** 2
+    y = x[:, None] + x[None, :]                           # (node, sample)
+    assert np.max(np.abs(veff.values - grid.cell * (pot(y) @ b2))) < 1e-10
+    assert np.max(np.abs(veff.grad - grid.cell * (pot.gradient(y)[0] @ b2))) < 1e-10
 
 
 def test_veff_gradient_consistent_with_values(well_veff, rng):
@@ -69,15 +93,7 @@ def test_veff_gradient_consistent_with_values(well_veff, rng):
     d = 1e-3
     for q in rng.uniform(-20, 20, size=100):
         fd = (well_veff.value_at([q + d]) - well_veff.value_at([q - d])) / (2 * d)
-        assert abs(fd - well_veff.grad_at([q])[0]) < 1e-7
-
-
-def test_veff_wraparound_guard(family):
-    small = Grid(1, 64, 12.0)
-    pot = PotentialModel.gaussians([(-1.0, [0.0], 2.0)])
-    b = family.profile_on_grid(1.0, small, wrap_tol=1.0)   # bypass build guard
-    with pytest.raises(MechError, match="wrap"):
-        build_effective_potential(pot, b, small, mass=1.0)
+        assert abs(fd - well_veff._fast.deriv(q)) < 1e-7
 
 
 def test_mech_energy_forms(well_veff):
@@ -172,7 +188,7 @@ def test_orbit_distance_is_level_set_distance(well_veff):
     # (0, q0) the dual weighted norm of grad H_mech = (0, eps V^eff'(q0)) is
     # sqrt(eps) |V^eff'(q0)|.  A drift dH ~ eps^(3/2) therefore gives d ~ eps.
     q0, delta = 3.0, 1e-3
-    slope = well_veff.grad_at([q0])[0]
+    slope = well_veff._fast.deriv(q0)
     assert slope > 0.1                                   # off a critical point
     for eps in (1e-2, 1e-3):
         t_final = 5.0 / eps
@@ -219,8 +235,7 @@ def test_orbit_distance_matches_densified_polyline(well_veff, rng):
 def test_orbit_steps_floor_and_target(family, grid512, well_veff):
     # where the leapfrog is exact (eps = 0, or a flat V^eff) the sample count
     # is the floor whatever the horizon
-    flat = build_effective_potential(PotentialModel(), family.profile_on_grid(1.0, grid512),
-                                     grid512, mass=1.0)
+    flat = build_effective_potential(PotentialModel(), family, 1.0, grid512, mass=1.0)
     for veff, eps in ((well_veff, 0.0), (flat, 1e-2)):
         for t_final in (5.0, 50.0, 5000.0):
             n = orbit_steps(veff, 1.0, eps, t_final)
@@ -277,8 +292,7 @@ def test_critical_values_two_term_potential(family, grid512):
     # extrema of the spline sampled 2000 times per grid interval; at that
     # spacing a smooth extremum is missed by at most |V''| h^2 / 8 < 1e-8
     pot = PotentialModel.gaussians([(-1.0, [0.0], 2.0), (0.4, [5.0], 1.5)])
-    veff = build_effective_potential(pot, family.profile_on_grid(1.0, grid512),
-                                     grid512, mass=1.0)
+    veff = build_effective_potential(pot, family, 1.0, grid512, mass=1.0)
     x = grid512.axes[0]
     dense = veff._spline(np.linspace(x[0], x[-1], 2000 * (len(x) - 1) + 1))
     inner = dense[1:-1]
@@ -298,31 +312,94 @@ def test_critical_values_two_term_potential(family, grid512):
 def test_critical_values_without_potential(family, grid512):
     # V = 0: every piece of V^eff' is identically zero, so the root finder
     # reports NaN for each; only the value at infinity is left
-    flat = build_effective_potential(PotentialModel(), family.profile_on_grid(1.0, grid512),
-                                     grid512, mass=1.0)
+    flat = build_effective_potential(PotentialModel(), family, 1.0, grid512, mass=1.0)
     assert critical_values(flat).tolist() == [0.0]
     assert critical_margin(0.25, flat) == 0.25
 
 
-def test_veff_3d_cut_matches_quadrature(family):
-    # 3D: V^eff is the line through the box centre along the symmetry axis
-    # (here axis 1, with a bump off the centre on it).  At nodes away from the
-    # box edge, where the periodic images of V are below roundoff, it is the
-    # grid quadrature cell * sum V(x + q e_1) b^2(x), and grad the quadrature
-    # of the analytic dV/dx_1 up to the spectral error of the cut (1.4e-6 at
-    # this resolution)
+@pytest.fixture(scope="module")
+def family_3d():
+    """3D power family, sigma = 0.5, c = 1 (the 3D `mech` smoke model), and
+    its profile at E = 1 squared, cached for the double quadratures below."""
+    fam = SolitonFamily(NonlinearityModel("power", sigma=0.5, c=1.0), 3, m_ref=1.0)
+    prof = fam.radial_profile(1.0)
+    return fam, functools.lru_cache(maxsize=None)(lambda r: float(prof(r)) ** 2)
+
+
+def _veff_3d_oracle(b2, pot, q):
+    """V^eff(q) and dV^eff/dq on the axis of `pot` by adaptive quadrature over
+    (r, mu = cos theta): a term A e^{-|y - c|^2/2w^2} at distance
+    D = |q e_axis - c| contributes 2 pi A r^2 b^2(r) e^{-(r^2 + D^2 + 2 r D mu)/2w^2},
+    and its q-derivative -(D + r mu)/w^2 dD/dq times that."""
+    value = slope = 0.0
+    for t in pot.terms:
+        c = np.asarray(t.center)
+        off = q - c[pot.axis]
+        D = math.hypot(off, math.hypot(*np.delete(c, pot.axis)))
+        w2 = t.width**2
+
+        def f(mu, r):
+            return (2.0 * math.pi * t.amplitude * r * r * b2(r)
+                    * math.exp(-(r * r + D * D + 2.0 * r * D * mu) / (2.0 * w2)))
+        value += dblquad(f, 0.0, 40.0, -1.0, 1.0, epsabs=0.0, epsrel=1e-11)[0]
+        if D > 0.0:
+            slope += off / D * dblquad(lambda mu, r: -(D + r * mu) / w2 * f(mu, r),
+                                       0.0, 40.0, -1.0, 1.0, epsabs=0.0, epsrel=1e-11)[0]
+    return value, slope
+
+
+@pytest.mark.parametrize("n, length", [(16, 60.0), (48, 44.0)])
+def test_veff_3d_matches_double_quadrature(family_3d, n, length):
+    # the well of the 3D `mech` smoke run on its 16^3 grid and on criterion
+    # 10's 48^3 grid: V^eff does not depend on the field grid, and matches the
+    # oracle to 1e-8 relative at every node where it is above 1e-12 of its
+    # depth (further out the values reach 1e-21, where the profile's tail
+    # interpolant, not the quadrature, sets the agreement)
+    fam, b2 = family_3d
+    pot = PotentialModel.gaussians([(-1.0, [0.0, 0.0, 0.0], 2.0)])
+    veff = build_effective_potential(pot, fam, 1.0, Grid(3, n, length), mass=1.0)
+    assert veff.grid.n == (n,)
+    depth = abs(veff.values[n // 2])
+    for q, v in zip(veff.grid.axes[0], veff.values):
+        if abs(v) > 1e-12 * depth:
+            assert v == pytest.approx(_veff_3d_oracle(b2, pot, q)[0], rel=1e-8)
+
+
+def test_veff_3d_cut_matches_quadrature(family_3d):
+    # 3D: V^eff lives on the line through the box centre along the symmetry
+    # axis (here axis 1, with a bump off the centre on it).  Values and
+    # gradient against the double-quadrature oracle, at nodes on both terms'
+    # centres (D = 0) and between them
+    fam, b2 = family_3d
     grid = Grid(3, 32, 32.0)
     pot = PotentialModel.gaussians([(-1.0, [0.0, 0.0, 0.0], 2.0),
                                     (0.4, [0.0, 3.0, 0.0], 1.5)], axis=1)
-    b = family.profile_on_grid(1.0, grid, wrap_tol=1e-3)
-    veff = build_effective_potential(pot, b, grid, mass=1.0)
-    assert veff.grid.dim == 1 and veff.grid.n == (32,)
+    veff = build_effective_potential(pot, fam, 1.0, grid, mass=1.0)
+    assert veff.grid.dim == 1 and veff.grid.n == (32,) and veff.axis == 1
     assert veff.values.shape == veff.grad.shape == (32,)
-    x, y, z = grid.x
-    b2 = b**2
     for i in (8, 12, 16, 19, 22):
-        q = veff.grid.axes[0][i]
-        assert veff.values[i] == pytest.approx(
-            grid.cell * float(np.sum(pot(x, y + q, z) * b2)), abs=1e-12)
-        assert veff.grad[i] == pytest.approx(
-            grid.cell * float(np.sum(pot.gradient(x, y + q, z)[1] * b2)), abs=1e-5)
+        value, slope = _veff_3d_oracle(b2, pot, veff.grid.axes[0][i])
+        assert veff.values[i] == pytest.approx(value, rel=1e-8)
+        assert veff.grad[i] == pytest.approx(slope, rel=1e-8)
+
+
+def test_veff_3d_centre_next_to_node(family_3d):
+    # a well centred one ulp off a node (3 * 0.4 = 1.2000000000000002 on this
+    # grid): at D = 2.2e-16 V^eff is its D = 0 value and dV^eff/dq is D V^eff''
+    # ~ 5e-15; a form that divides by D turns both into rounding noise there
+    fam, b2 = family_3d
+    grid = Grid(3, 64, 25.6)
+    node = grid.axes[0][35]
+    assert node != 1.2 and abs(node - 1.2) < 1e-15
+    on = build_effective_potential(PotentialModel.gaussians([(-1.0, [node, 0.0, 0.0], 2.0)]),
+                                   fam, 1.0, grid, mass=1.0)
+    pot = PotentialModel.gaussians([(-1.0, [1.2, 0.0, 0.0], 2.0)])
+    off = build_effective_potential(pot, fam, 1.0, grid, mass=1.0)
+    assert on.grad[35] == 0.0
+    assert off.values[35] == pytest.approx(on.values[35], rel=1e-14)
+    assert abs(off.grad[35]) < 1e-13
+    assert off.values[35] == pytest.approx(_veff_3d_oracle(b2, pot, 1.2)[0], rel=1e-8)
+    for i in (34, 36):                     # the neighbours, D = 0.4
+        value, slope = _veff_3d_oracle(b2, pot, grid.axes[0][i])
+        assert off.values[i] == pytest.approx(value, rel=1e-8)
+        assert off.grad[i] == pytest.approx(slope, rel=1e-8)

@@ -66,19 +66,6 @@ def test_beta_prime_in_place(m):
     assert np.array_equal(s, want)
 
 
-@pytest.mark.parametrize("m", [
-    NonlinearityModel("power", 1.0, 2.0),
-    NonlinearityModel("saturable", c=2.0),
-])
-def test_growth_ratio_bounded_on_samples(m):
-    # |beta^(k)(s)| <= C_k (1+s)^(1+p-k): the ratio must stay finite/stable
-    s = np.linspace(0.0, 10.0, 200)[1:]
-    for k in range(3):
-        r = m.growth_ratio(s, k)
-        assert np.all(np.isfinite(r))
-        assert np.max(r) < 10.0
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         NonlinearityModel("power", sigma=2.5)
