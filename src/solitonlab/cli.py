@@ -105,8 +105,8 @@ def cmd_mech(args, cfg):
     from .harness import make_family
     grid = Grid(cfg.dim, cfg.grid_points, cfg.box_length)
     family = make_family(cfg)
-    veff = build_effective_potential(cfg.potential, family, cfg.reference_energy, grid,
-                                     family.m_ref)
+    veff = build_effective_potential(cfg.potential, family,
+                                     family.energy_of_mass(family.m_ref), grid)
     orbit = mech_run(MechState(cfg.p_init[veff.axis], cfg.q_init[veff.axis]), family.m_ref,
                      cfg.epsilon, veff, dt=cfg.dt, t_final=cfg.t_final)
     write_csv(os.path.join(out, "orbit.csv"),

@@ -77,7 +77,6 @@ from dataclasses import dataclass
 from time import perf_counter, sleep
 
 import numpy as np
-import scipy.fft as sfft
 from scipy.fft._pocketfft.pypocketfft import c2c
 
 from .field import FieldState, Grid, boundary_mass_fraction
@@ -110,8 +109,7 @@ def hamiltonian(psi: FieldState, model: NonlinearityModel,
                 V: np.ndarray | None, eps: float) -> float:
     """H = ∫|grad psi|^2 - ∫beta(|psi|^2) + eps ∫V |psi|^2 (gradient spectral)."""
     g = psi.grid
-    ph = sfft.fftn(psi.values)
-    kin = g.cell / g.size * np.sum(g.k2 * np.abs(ph) ** 2)
+    kin = g.cell / g.size * np.sum(g.k2 * np.abs(psi.spectrum) ** 2)
     s = np.abs(psi.values) ** 2
     pot = -g.cell * np.sum(model.beta(s))
     ext = eps * g.cell * np.sum(V * s) if (eps != 0.0 and V is not None) else 0.0
@@ -322,17 +320,16 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
 
     n_steps = int(round(t_final / dt))
     n_samples = 1 + -(-n_steps // cadence)
-    vals = psi0.values.copy()
+    vals = psi0.values
     diags = []
     i_sample = 0
     wall = {"step_s": 0.0, "diag_s": 0.0}
     t_start = perf_counter()
 
-    def record(done, vals):
+    def record(done, f):
         nonlocal i_sample
         t = done * dt
         t0 = perf_counter()
-        f = FieldState(grid, vals)
         diags.append(EvolveDiagnostics(
             time=t,
             hamiltonian=hamiltonian(f, model, V, eps),
@@ -347,7 +344,7 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
                      n_samples, done / (perf_counter() - t_start))
         return stop
 
-    stop = record(0, vals)
+    stop = record(0, psi0)
     done = 0
     while done < n_steps and not stop:
         blk = min(cadence, n_steps - done)
@@ -355,7 +352,7 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
         vals = st.step_block(vals, blk)
         wall["step_s"] += perf_counter() - t0
         done += blk
-        stop = record(done, vals)
+        stop = record(done, FieldState(grid, vals))
     if timing is not None:
         timing.update(wall, n_steps=done, step_threads=st.threads)
     return FieldState(grid, vals), diags

@@ -8,13 +8,15 @@ Conventions (used everywhere downstream, watch the factor 2):
   omega(u, v)  = inner(i*u, v)                 symplectic form
   A_j = i d_j (j=1..3), A_4 = identity
   apply_symmetry(psi, q) = e^{-i q4} psi(. - q_vec)   (translation by +q)
+
+A FieldState is immutable and carries its spectrum: every spectral helper
+reads psi.spectrum = fftn(psi.values), so a field is transformed once.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,18 +82,33 @@ class Grid:
         return f"Grid(dim={self.dim}, n={self.n}, length={self.length})"
 
 
-@dataclass
+def _read_only(a) -> np.ndarray:
+    v = np.ascontiguousarray(a, dtype=np.complex128).view()
+    v.flags.writeable = False
+    return v
+
+
 class FieldState:
-    grid: Grid
-    values: np.ndarray
+    """A complex field on `grid`, immutable: `values` is a read-only view, and
+    `spectrum` = fftn(values) is computed when a helper first asks for it.
+    Ownership: a maker that already holds fftn(values) hands it over as
+    `spectrum`, and it does not write the arrays it hands over (contiguous
+    complex128 arrays are viewed, not copied)."""
 
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.grid.n:
-            raise ValueError(f"values shape {self.values.shape} != grid {self.grid.n}")
+    def __init__(self, grid: Grid, values, spectrum: np.ndarray | None = None):
+        values = _read_only(values)
+        if values.shape != grid.n:
+            raise ValueError(f"values shape {values.shape} != grid {grid.n}")
+        self.__dict__.update(grid=grid, values=values)
+        if spectrum is not None:
+            self.__dict__["spectrum"] = _read_only(spectrum)
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.grid, self.values.copy())
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldState is immutable (cannot set {name!r})")
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return _read_only(sfft.fftn(self.values))
 
 
 def _same_grid(a: FieldState, b: FieldState):
@@ -121,14 +138,13 @@ def l2_norm(psi: FieldState) -> float:
 def gradient(psi: FieldState):
     """Spectral gradient, one FieldState per axis (Nyquist zeroed)."""
     g = psi.grid
-    ph = sfft.fftn(psi.values)
-    return [FieldState(g, sfft.ifftn(1j * g.k_deriv[j] * ph)) for j in range(g.dim)]
+    hats = (1j * kd * psi.spectrum for kd in g.k_deriv)
+    return [FieldState(g, sfft.ifftn(h), h) for h in hats]
 
 
 def h1_norm(psi: FieldState) -> float:
     g = psi.grid
-    ph = sfft.fftn(psi.values)
-    s = np.sum((1.0 + g.k2) * np.abs(ph) ** 2) * g.cell / g.size
+    s = np.sum((1.0 + g.k2) * np.abs(psi.spectrum) ** 2) * g.cell / g.size
     return float(np.sqrt(s))
 
 
@@ -148,7 +164,7 @@ def momenta(psi: FieldState) -> np.ndarray:
     """(P_1, P_2, P_3, P_4): P_j = ∫ conj(psi) i d_j psi = -sum k_j |psi_hat|^2,
     P_4 = ∫ |psi|^2.  Components beyond the grid dimension are zero."""
     g = psi.grid
-    ph2 = np.abs(sfft.fftn(psi.values)) ** 2
+    ph2 = np.abs(psi.spectrum) ** 2
     w = g.cell / g.size
     out = np.zeros(4)
     for j in range(g.dim):
@@ -158,35 +174,27 @@ def momenta(psi: FieldState) -> np.ndarray:
 
 
 def apply_symmetry(psi: FieldState, q) -> FieldState:
-    """e^{q^j J A_j} psi = e^{-i q4} psi(. - q_vec), translation spectral."""
+    """e^{q^j J A_j} psi = e^{-i q4} psi(. - q_vec), translation spectral; a
+    translated field carries its spectrum.  At q = 0 this is psi itself."""
     g = psi.grid
     q = np.asarray(q, dtype=float)
-    if not np.any(q):
-        return psi.copy()
     if not np.any(q[:3]):
-        return FieldState(g, psi.values * np.exp(-1j * q[3]))
-    ph = sfft.fftn(psi.values)
-    shift = 0.0
-    for j in range(g.dim):
-        if q[j] != 0.0:
-            shift = shift + g.k[j] * q[j]
-    if np.ndim(shift) or shift != 0.0:
-        ph = ph * np.exp(-1j * shift)
-    out = sfft.ifftn(ph)
-    if q[3] != 0.0:
-        out = out * np.exp(-1j * q[3])
-    return FieldState(g, out)
+        return FieldState(g, psi.values * np.exp(-1j * q[3])) if q[3] else psi
+    shift = sum(g.k[j] * q[j] for j in range(g.dim) if q[j] != 0.0)
+    ph = psi.spectrum * np.exp(-1j * shift)
+    rot = np.exp(-1j * q[3])
+    return FieldState(g, sfft.ifftn(ph) * rot, ph * rot)
 
 
 def apply_A(psi: FieldState, j: int) -> FieldState:
     """A_j psi = i d_j psi for j=1..3 (spectral), A_4 psi = psi."""
     g = psi.grid
     if j == 4:
-        return psi.copy()
+        return psi
     if not 1 <= j <= g.dim:
         raise ValueError(f"A_{j} undefined on a dim-{g.dim} grid")
-    ph = sfft.fftn(psi.values)
-    return FieldState(g, sfft.ifftn(-g.k_deriv[j - 1] * ph))
+    h = -g.k_deriv[j - 1] * psi.spectrum
+    return FieldState(g, sfft.ifftn(h), h)
 
 
 def boundary_mass_fraction(psi: FieldState, width: int = 5) -> float:

@@ -442,6 +442,7 @@ class SolitonTangents:
     energy: float
     grid: Grid
     eta: np.ndarray               # centered eta_p
+    eta_hat: np.ndarray           # fftn(eta)
     t: list                       # d eta / d p_j, None on inactive axes
     A_eta: list                   # A_j eta (None on inactive axes); A_4 eta = eta
     active: tuple                 # indices (0-based) of active p components
@@ -640,8 +641,8 @@ class SolitonFamily:
             A_eta[j] = sfft.ifftn(-grid.k_deriv[j] * eta_hat)
         A_eta[3] = eta
         return SolitonTangents(p=p, mtilde=mt, energy=E, grid=grid, eta=eta,
-                               t=t, A_eta=A_eta, active=self._active(), u=u, b=b,
-                               b_E=b_E, b_EE=b_EE, dE_dm=dEdm, d2E_dm2=d2Edm2)
+                               eta_hat=eta_hat, t=t, A_eta=A_eta, active=self._active(),
+                               u=u, b=b, b_E=b_E, b_EE=b_EE, dE_dm=dEdm, d2E_dm2=d2Edm2)
 
     def lambda_multipliers(self, params: SolitonParameters) -> np.ndarray:
         p = np.asarray(params.p, dtype=float)

@@ -134,7 +134,7 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
 
     # effective potential at the extracted mass, on the symmetry axis
     veff = build_effective_potential(cfg.potential, family, family.energy_of_mass(m_used),
-                                     grid, m_used)
+                                     grid)
     axis = veff.axis
 
     axial = cfg.dim == 1 or (cfg.potential.is_axisymmetric()
@@ -199,7 +199,7 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
             sn[s].append(w1s_norm(dec.phi, s))
         if keep_fields and (cfg.snapshot_cadence == 0
                             or i % max(cfg.snapshot_cadence, 1) == 0):
-            fields.append((t, f.copy()))
+            fields.append((t, FieldState(f.grid, f.values)))   # without its spectrum
 
     final, diags = ev.run(psi0, cfg.model, cfg.potential, cfg.epsilon,
                           cfg.dt, cfg.t_final, cadence=cfg.extraction_cadence,

@@ -64,7 +64,6 @@ class EffectivePotential:
     """V^eff at the nodes of the symmetry axis (`grid`, 1D), its derivative
     `grad` there, and the cubic spline through `values` for V^eff and its force
     between the nodes; `axis` is the field grid's axis the line runs along."""
-    mass: float
     grid: Grid
     values: np.ndarray
     grad: np.ndarray
@@ -85,7 +84,7 @@ class EffectivePotential:
 
 
 def build_effective_potential(potential: PotentialModel, family: SolitonFamily,
-                              energy: float, grid: Grid, mass: float) -> EffectivePotential:
+                              energy: float, grid: Grid) -> EffectivePotential:
     """V^eff and dV^eff/dq of b_E on `grid`'s symmetry-axis line by the radial
     quadratures of the module docstring.  The radial spacing is at most w/3 for
     every width w: on a 1D well against adaptive quadrature it keeps V^eff and its
@@ -122,7 +121,7 @@ def build_effective_potential(potential: PotentialModel, family: SolitonFamily,
         values += k * (f @ wb2)
         f -= g * np.sqrt(0.5 * math.pi / a) * ive(1.5, a) / a * (r * r / w2)
         grad -= (k / w2) * off * (f @ wb2)
-    return EffectivePotential(mass=mass, grid=line, values=values, grad=grad, axis=axis)
+    return EffectivePotential(grid=line, values=values, grad=grad, axis=axis)
 
 
 @dataclass

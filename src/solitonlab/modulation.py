@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .field import FieldState, h1_norm, l2_norm, momenta
+from .field import FieldState, apply_symmetry, h1_norm, l2_norm, momenta
 from .groundstate import (GroundStateError, SolitonFamily, SolitonParameters,
                           SolitonTangents)
 
@@ -122,16 +122,16 @@ def invert_projector(phi_raw: FieldState, tangents_p: SolitonTangents,
 
 
 class _Workspace:
-    """Caches for one extraction: fft of psi, the last pull-back, tangent
-    bundles keyed by p."""
+    """Caches for one extraction: tangent bundles keyed by p, and the last
+    pull-back apply_symmetry(psi, -q), which shifts psi.spectrum and carries
+    the result: nothing derived from psi is transformed forward."""
 
     def __init__(self, psi: FieldState, family: SolitonFamily):
+        self.psi = psi
         self.grid = psi.grid
         self.family = family
-        self.psi_hat = sfft.fftn(psi.values)
         self._tg = {}
-        self._q = None          # q of the cached pull-back _pb (spectrum _pb_hat)
-        self._pb = self._pb_hat = None
+        self._q = self._pb = None
 
     def tangents(self, p) -> SolitonTangents:
         key = tuple(np.round(np.asarray(p, dtype=float), 14))
@@ -141,29 +141,20 @@ class _Workspace:
             self._tg[key] = self.family.tangents(np.asarray(p, dtype=float), self.grid)
         return self._tg[key]
 
-    def pulled_back(self, q) -> np.ndarray:
-        """e^{-q.JA} psi = e^{+i q4} psi(. + q_vec), spectrally; cached, not to be
-        modified."""
-        if self._q is not None and np.array_equal(q, self._q):
-            return self._pb
-        g = self.grid
-        ph = self.psi_hat
-        shift = sum(g.k[j] * q[j] for j in range(g.dim) if q[j] != 0.0)
-        if np.ndim(shift):
-            ph = ph * np.exp(1j * shift)
-        out = sfft.ifftn(ph)
-        if q[3] != 0.0:
-            out = out * np.exp(1j * q[3])
-        self._q, self._pb, self._pb_hat = np.array(q, dtype=float), out, ph
-        return out
+    def pulled_back(self, q) -> FieldState:
+        """e^{-q.JA} psi = e^{+i q4} psi(. + q_vec); cached."""
+        if self._q is None or not np.array_equal(q, self._q):
+            self._q = np.array(q, dtype=float)
+            self._pb = apply_symmetry(self.psi, -self._q)
+        return self._pb
 
     def q_derivative(self, q, j: int) -> np.ndarray:
         """d/dq_j of e^{-q.JA} psi: the spectral d_j with the wavenumbers of
         the shift itself (Nyquist kept), and i e^{-q.JA} psi for j = 4."""
         P = self.pulled_back(q)
         if j == 3:
-            return 1j * P
-        return sfft.ifftn(1j * np.exp(1j * q[3]) * self.grid.k[j] * self._pb_hat)
+            return 1j * P.values
+        return sfft.ifftn(1j * self.grid.k[j] * P.spectrum)
 
     def residual(self, p, q) -> np.ndarray:
         """Pairings at (p, q); +inf vector for trial points outside the
@@ -173,7 +164,7 @@ class _Workspace:
             tg = self.tangents(p)
         except GroundStateError:
             return np.full(n, np.inf)
-        r = _pairings(tg, self.pulled_back(q) - tg.eta)
+        r = _pairings(tg, self.pulled_back(q).values - tg.eta)
         return r if np.all(np.isfinite(r)) else np.full(n, np.inf)
 
 
@@ -190,13 +181,14 @@ def newton_jacobian(ws: _Workspace, p, q) -> np.ndarray:
     q.  A q-column is the pairings of dP/dq_k.  With Phi = P - eta_p, a
     p-column is [<A_l t_k, Phi>]_l ++ [<i d t_l/d p_k, Phi>]_l - <., t_k>,
     where d t_l/d p_k is the closed form SolitonTangents.dt and
-    <A_l t_k, Phi> = <t_k, A_l Phi> (A_l is symmetric in the bracket), so Phi
-    is transformed once.
+    <A_l t_k, Phi> = <t_k, A_l Phi> (A_l is symmetric in the bracket); the
+    spectrum of Phi is that of P minus that of eta_p, so none is transformed.
     """
     tg = ws.tangents(p)
     g, act = ws.grid, tg.active
-    phi = ws.pulled_back(q) - tg.eta
-    phi_hat = sfft.fftn(phi)
+    P = ws.pulled_back(q)
+    phi = P.values - tg.eta
+    phi_hat = P.spectrum - tg.eta_hat
     A_phi = [phi if l == 3 else sfft.ifftn(-g.k_deriv[l] * phi_hat) for l in act]
     g_dt = np.empty((len(act), len(act)))          # <i d t_l/d p_k, Phi>, symmetric
     for a, l in enumerate(act):
@@ -306,9 +298,10 @@ def extract(psi: FieldState, family: SolitonFamily,
         iters += 1
 
     tg = ws.tangents(p)
-    phi = FieldState(psi.grid, ws.pulled_back(q) - tg.eta)
+    P = ws.pulled_back(q)
+    phi = FieldState(psi.grid, P.values - tg.eta, P.spectrum - tg.eta_hat)
     phi_h1 = h1_norm(phi)
-    eta_h1 = h1_norm(FieldState(psi.grid, tg.eta))
+    eta_h1 = h1_norm(FieldState(psi.grid, tg.eta, tg.eta_hat))
     if phi_h1 > phi_frac_max * eta_h1:
         raise LeavesChartError(
             f"remainder H1 norm {phi_h1:.3e} exceeds {phi_frac_max} of the soliton's")

@@ -254,7 +254,7 @@ def test_criterion_8_orbit_distance(sweep):
 def test_criterion_9_mechanical_integrator():
     grid = Grid(1, 512, L_BOX)
     family = SolitonFamily(CUBIC, 1, m_ref=1.0)
-    veff = build_effective_potential(WELL, family, 1.0, grid, mass=1.0)
+    veff = build_effective_potential(WELL, family, 1.0, grid)
     eps = 1e-2
     d = 1e-4
     v2 = (veff.value_at([d]) - 2 * veff.value_at([0.0])

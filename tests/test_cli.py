@@ -161,6 +161,18 @@ def test_cli_mech(cfg_file, tmp_path):
     assert (tmp_path / "out" / "veff.csv").exists()
 
 
+def test_cli_mech_at_reference_mass(cfg_file, tmp_path):
+    # V^eff is built from the soliton the orbit runs with: the mass-2 cubic
+    # soliton has E = 4, where the E = 1 profile gave V^eff(0) = -1.8285
+    ini = cfg_file(t_final=5.0)
+    ini.write_text(ini.read_text().replace("reference_energy = 1.0", "reference_mass = 2.0"))
+    assert main(["--config", str(ini), "mech"]) == 0
+    from solitonlab.harness import read_csv
+    veff = read_csv(tmp_path / "out" / "veff.csv")
+    assert veff["q"][128] == 0.0
+    assert veff["Veff"][128] == pytest.approx(-3.9023, abs=1e-4)
+
+
 def test_cli_mech_3d(cfg_file, tmp_path):
     # 3D: the mechanics run on the symmetry axis, and V^eff is written there
     ini = cfg_file(L=60.0, t_final=5.0)

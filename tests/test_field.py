@@ -216,3 +216,40 @@ def test_fft_roundtrip_invariant(grid512, rng):
     psi = _random_field(grid512, rng)
     back = np.fft.ifftn(np.fft.fftn(psi.values))
     assert np.max(np.abs(back - psi.values)) <= 1e-12 * np.max(np.abs(psi.values))
+
+
+# -- immutability and the carried spectrum -------------------------------------------
+
+def test_field_state_is_read_only(grid512, rng):
+    psi = _random_field(grid512, rng)
+    for arr in (psi.values, psi.spectrum):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(AttributeError, match="immutable"):
+        psi.values = psi.values * 2.0
+
+
+def _spectrum_error(psi):
+    want = np.fft.fftn(psi.values)
+    return np.max(np.abs(psi.spectrum - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim,q", [(1, (1.3, 0, 0, 0)), (1, (1.3, 0, 0, 0.7)),
+                                   (1, (0, 0, 0, 0.7)), (3, (1.3, -0.4, 2.1, 0.7))],
+                         ids=["shift", "shift-gauge", "gauge", "3d"])
+def test_apply_symmetry_spectrum_is_fftn(grid512, rng, dim, q):
+    grid = grid512 if dim == 1 else Grid(3, 16, 12.0)
+    out = apply_symmetry(_random_field(grid, rng), q)
+    assert _spectrum_error(out) < 1e-13
+
+
+def test_apply_A_and_gradient_spectra_are_fftn(grid512, rng):
+    psi = _random_field(grid512, rng)
+    assert _spectrum_error(apply_A(psi, 1)) < 1e-13
+    assert _spectrum_error(gradient(psi)[0]) < 1e-13
+
+
+def test_identity_actions_return_the_field(grid512, rng):
+    psi = _random_field(grid512, rng)
+    assert apply_symmetry(psi, (0, 0, 0, 0)) is psi
+    assert apply_A(psi, 4) is psi

@@ -18,20 +18,20 @@ from solitonlab.model import NonlinearityModel, PotentialModel, SimulationConfig
 @pytest.fixture(scope="module")
 def well_veff(family, grid512):
     pot = PotentialModel.gaussians([(-1.0, [0.0], 2.0)])
-    return build_effective_potential(pot, family, 1.0, grid512, mass=1.0)
+    return build_effective_potential(pot, family, 1.0, grid512)
 
 
 def test_veff_constant_potential(family, grid512):
     # V ~ const A => V^eff = 2 m A (huge-width Gaussian stands in for A)
     pot = PotentialModel.gaussians([(0.7, [0.0], 1e6)])
-    veff = build_effective_potential(pot, family, 1.0, grid512, mass=1.0)
+    veff = build_effective_potential(pot, family, 1.0, grid512)
     assert np.max(np.abs(veff.values - 2.0 * 0.7)) < 1e-8
 
 
 def test_veff_wide_potential_trend(family, grid512):
     # wide well: V^eff(q) ~ 2m V(q)
     pot = PotentialModel.gaussians([(-1.0, [0.0], 20.0)])
-    veff = build_effective_potential(pot, family, 1.0, grid512, mass=1.0)
+    veff = build_effective_potential(pot, family, 1.0, grid512)
     for q in (0.0, 3.0, 10.0):
         v = float(pot(q))
         assert veff.value_at([q]) == pytest.approx(2.0 * v, rel=1e-2)
@@ -59,7 +59,7 @@ def test_veff_matches_direct_quadrature(family, grid512, rng):
              (Grid(1, 4096, 40.0 * math.pi), [(-1.0, [0.3], 0.1)])]
     for grid, terms in cases:
         pot = PotentialModel.gaussians(terms)
-        veff = build_effective_potential(pot, family, 1.0, grid, mass=1.0)
+        veff = build_effective_potential(pot, family, 1.0, grid)
         x = grid.axes[0]
         b2 = family.profile_on_grid(1.0, grid) ** 2
         n = grid.n[0]
@@ -80,7 +80,7 @@ def test_veff_saturable_family_matches_grid_sum():
     family = make_family(cfg)
     grid = Grid(1, 512, 40 * math.pi)
     pot = PotentialModel.gaussians([(-1.0, [0.0], 2.0), (0.4, [5.0], 1.5)])
-    veff = build_effective_potential(pot, family, 1.0, grid, family.m_ref)
+    veff = build_effective_potential(pot, family, 1.0, grid)
     x = grid.axes[0]
     b2 = family.profile_on_grid(1.0, grid) ** 2
     y = x[:, None] + x[None, :]                           # (node, sample)
@@ -235,7 +235,7 @@ def test_orbit_distance_matches_densified_polyline(well_veff, rng):
 def test_orbit_steps_floor_and_target(family, grid512, well_veff):
     # where the leapfrog is exact (eps = 0, or a flat V^eff) the sample count
     # is the floor whatever the horizon
-    flat = build_effective_potential(PotentialModel(), family, 1.0, grid512, mass=1.0)
+    flat = build_effective_potential(PotentialModel(), family, 1.0, grid512)
     for veff, eps in ((well_veff, 0.0), (flat, 1e-2)):
         for t_final in (5.0, 50.0, 5000.0):
             n = orbit_steps(veff, 1.0, eps, t_final)
@@ -292,7 +292,7 @@ def test_critical_values_two_term_potential(family, grid512):
     # extrema of the spline sampled 2000 times per grid interval; at that
     # spacing a smooth extremum is missed by at most |V''| h^2 / 8 < 1e-8
     pot = PotentialModel.gaussians([(-1.0, [0.0], 2.0), (0.4, [5.0], 1.5)])
-    veff = build_effective_potential(pot, family, 1.0, grid512, mass=1.0)
+    veff = build_effective_potential(pot, family, 1.0, grid512)
     x = grid512.axes[0]
     dense = veff._spline(np.linspace(x[0], x[-1], 2000 * (len(x) - 1) + 1))
     inner = dense[1:-1]
@@ -312,7 +312,7 @@ def test_critical_values_two_term_potential(family, grid512):
 def test_critical_values_without_potential(family, grid512):
     # V = 0: every piece of V^eff' is identically zero, so the root finder
     # reports NaN for each; only the value at infinity is left
-    flat = build_effective_potential(PotentialModel(), family, 1.0, grid512, mass=1.0)
+    flat = build_effective_potential(PotentialModel(), family, 1.0, grid512)
     assert critical_values(flat).tolist() == [0.0]
     assert critical_margin(0.25, flat) == 0.25
 
@@ -357,7 +357,7 @@ def test_veff_3d_matches_double_quadrature(family_3d, n, length):
     # interpolant, not the quadrature, sets the agreement)
     fam, b2 = family_3d
     pot = PotentialModel.gaussians([(-1.0, [0.0, 0.0, 0.0], 2.0)])
-    veff = build_effective_potential(pot, fam, 1.0, Grid(3, n, length), mass=1.0)
+    veff = build_effective_potential(pot, fam, 1.0, Grid(3, n, length))
     assert veff.grid.n == (n,)
     depth = abs(veff.values[n // 2])
     for q, v in zip(veff.grid.axes[0], veff.values):
@@ -374,7 +374,7 @@ def test_veff_3d_cut_matches_quadrature(family_3d):
     grid = Grid(3, 32, 32.0)
     pot = PotentialModel.gaussians([(-1.0, [0.0, 0.0, 0.0], 2.0),
                                     (0.4, [0.0, 3.0, 0.0], 1.5)], axis=1)
-    veff = build_effective_potential(pot, fam, 1.0, grid, mass=1.0)
+    veff = build_effective_potential(pot, fam, 1.0, grid)
     assert veff.grid.dim == 1 and veff.grid.n == (32,) and veff.axis == 1
     assert veff.values.shape == veff.grad.shape == (32,)
     for i in (8, 12, 16, 19, 22):
@@ -392,9 +392,9 @@ def test_veff_3d_centre_next_to_node(family_3d):
     node = grid.axes[0][35]
     assert node != 1.2 and abs(node - 1.2) < 1e-15
     on = build_effective_potential(PotentialModel.gaussians([(-1.0, [node, 0.0, 0.0], 2.0)]),
-                                   fam, 1.0, grid, mass=1.0)
+                                   fam, 1.0, grid)
     pot = PotentialModel.gaussians([(-1.0, [1.2, 0.0, 0.0], 2.0)])
-    off = build_effective_potential(pot, fam, 1.0, grid, mass=1.0)
+    off = build_effective_potential(pot, fam, 1.0, grid)
     assert on.grad[35] == 0.0
     assert off.values[35] == pytest.approx(on.values[35], rel=1e-14)
     assert abs(off.grad[35]) < 1e-13

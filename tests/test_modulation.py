@@ -41,7 +41,7 @@ def _orthogonal_noise(family, p, grid, rng, size, both_senses=False):
                 c = float(np.sum(vals.real * d.real + vals.imag * d.imag)) / dd
                 vals = vals - c * d
         raw = project(FieldState(grid, vals), tg)
-    raw.values *= size / h1_norm(raw)
+    raw = FieldState(raw.grid, raw.values * (size / h1_norm(raw)))
     return raw
 
 
@@ -103,7 +103,7 @@ def test_invert_roundtrip(family, grid512, rng):
     tg = family.tangents(np.array([0.25, 0, 0, 0.1]), grid512)
     tg0 = family.tangents(np.zeros(4), grid512)
     phi = project(_bandlimited_noise(grid512, rng), tg)
-    phi.values /= h1_norm(phi)
+    phi = FieldState(phi.grid, phi.values / h1_norm(phi))
     u = invert_projector(phi, tg, tg0)
     back = project(u, tg)
     assert l2_norm(FieldState(grid512, back.values - phi.values)) < 1e-11
@@ -116,7 +116,7 @@ def test_invert_iteration_count_at_p03(family, grid512, rng):
     tg = family.tangents(np.array([0.3, 0, 0, 0.0]), grid512)
     tg0 = family.tangents(np.zeros(4), grid512)
     phi = project(_bandlimited_noise(grid512, rng), tg)
-    phi.values /= h1_norm(phi)
+    phi = FieldState(phi.grid, phi.values / h1_norm(phi))
     calls = {"n": 0}
     orig = mod.project
 
@@ -187,7 +187,7 @@ def test_newton_jacobian_matches_finite_differences(family, grid512, rng):
     q = np.array([1.3, 0, 0, 0.7])
     tg = family.tangents(p, grid512)
     noise = _bandlimited_noise(grid512, rng)
-    noise.values *= 1e-2 / l2_norm(noise)
+    noise = FieldState(noise.grid, noise.values * (1e-2 / l2_norm(noise)))
     ws = _Workspace(apply_symmetry(FieldState(grid512, tg.eta + noise.values), q), family)
     h = 1e-6
     ref = []
@@ -222,7 +222,7 @@ def test_initial_guess_fractional_offset(family, grid512):
 
 def test_initial_guess_radiation_flagged(family, grid512, rng):
     noise = _bandlimited_noise(grid512, rng)
-    noise.values *= 0.05 / l2_norm(noise)
+    noise = FieldState(noise.grid, noise.values * (0.05 / l2_norm(noise)))
     guess, info = initial_guess(noise, family)
     assert info["low_confidence"]
 
@@ -294,7 +294,7 @@ def test_extract_near_identity_scaling(family, grid512, rng):
     eps_list = [1e-2, 1e-3, 1e-4]
     for eps in eps_list:
         noise = _bandlimited_noise(grid512, rng)       # generic, not projected
-        noise.values *= math.sqrt(eps) / h1_norm(noise)
+        noise = FieldState(noise.grid, noise.values * (math.sqrt(eps) / h1_norm(noise)))
         psi = apply_symmetry(FieldState(grid512, tg.eta + noise.values), q)
         dec = extract(psi, family)
         shift = max(np.max(np.abs(dec.coords.p - p)), np.max(np.abs(dec.coords.q - q)))
@@ -452,3 +452,54 @@ def test_one_iteration_extract_builds_two_tangents(family, grid512, monkeypatch)
     dec = extract(psi, family, guess=SolitonCoordinates(p, q + np.array([1e-6, 0, 0, 1e-6])))
     assert dec.newton_iters == 1
     assert len(calls) == 2
+
+
+# -- one transform per sample -----------------------------------------------------
+
+def _off_chart_sample(family, grid, rng, p, q):
+    """eta_p moved to q plus a generic remainder of L2 size 1e-2, as a fresh
+    field that carries no spectrum yet."""
+    tg = family.tangents(p, grid)
+    noise = _bandlimited_noise(grid, rng)
+    noise = noise.values * (1e-2 / l2_norm(noise))
+    return FieldState(grid, apply_symmetry(FieldState(grid, tg.eta + noise), q).values)
+
+
+def test_extract_spectra_are_fftn(family, grid512, rng):
+    p, q = np.array([0.2, 0, 0, 0.1]), np.array([1.3, 0, 0, 0.7])
+    tg = family.tangents(p, grid512)
+    dec = extract(_off_chart_sample(family, grid512, rng, p, q), family)
+    for vals, hat in ((tg.eta, tg.eta_hat), (dec.phi.values, dec.phi.spectrum)):
+        want = np.fft.fftn(vals)
+        assert np.max(np.abs(hat - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_one_forward_transform_per_sample(family, grid512, rng, monkeypatch):
+    # the diagnostics and the extraction of one sample share one transform
+    # of the field; the remainder phi is never transformed, and every other
+    # forward transform is a tangent bundle's eta
+    import scipy.fft
+    from solitonlab.evolve import hamiltonian
+    from solitonlab.field import momenta
+    p, q = np.array([0.2, 0, 0, 0.1]), np.array([1.3, 0, 0, 0.7])
+    psi = _off_chart_sample(family, grid512, rng, p, q)
+    inputs, bundles = [], []
+    fftn, tangents = scipy.fft.fftn, SolitonFamily.tangents
+
+    def counting_fftn(x, *a, **kw):
+        inputs.append(np.array(x))
+        return fftn(x, *a, **kw)
+
+    def counting_tangents(self, *a, **kw):
+        bundles.append(None)
+        return tangents(self, *a, **kw)
+
+    monkeypatch.setattr(scipy.fft, "fftn", counting_fftn)
+    monkeypatch.setattr(SolitonFamily, "tangents", counting_tangents)
+    hamiltonian(psi, family.model, None, 0.0)
+    momenta(psi)
+    dec = extract(psi, family, guess=SolitonCoordinates(p, q))
+    assert dec.newton_iters >= 1
+    assert sum(np.array_equal(x, psi.values) for x in inputs) == 1
+    assert not any(np.allclose(x, dec.phi.values) for x in inputs)
+    assert len(inputs) == 1 + len(bundles)
