@@ -105,9 +105,9 @@ def cmd_mech(args, cfg):
     from .harness import make_family
     grid = Grid(cfg.dim, cfg.grid_points, cfg.box_length)
     family = make_family(cfg)
-    veff = build_effective_potential(cfg.potential, family,
-                                     family.energy_of_mass(family.m_ref), grid)
-    orbit = mech_run(MechState(cfg.p_init[veff.axis], cfg.q_init[veff.axis]), family.m_ref,
+    m = family.m_ref + cfg.p_init[3] / 2.0        # the mass of the run's soliton
+    veff = build_effective_potential(cfg.potential, family, family.energy_of_mass(m), grid)
+    orbit = mech_run(MechState(cfg.p_init[veff.axis], cfg.q_init[veff.axis]), m,
                      cfg.epsilon, veff, dt=cfg.dt, t_final=cfg.t_final)
     write_csv(os.path.join(out, "orbit.csv"),
               {"t": orbit.ts, "p": orbit.ps[:, 0], "q": orbit.qs[:, 0],

@@ -654,8 +654,10 @@ class SolitonFamily:
         return lam
 
     def coordinate_rates(self, p) -> np.ndarray:
-        """Free drift rates of q along the flow: q_vec' = p/m~, q4' = E + v^2/4
-        (used as the warm-start predictor between extractions)."""
+        """Free drift rates of q along the flow: q_vec' = p/m~, q4' = E + v^2/4.
+        The base of the warm-start predictor between extractions; the scenario
+        run adds the previous sample's miss of it (the stepping scheme's own
+        phase speed) on top."""
         lam = self.lambda_multipliers(SolitonParameters(tuple(p)))
         rates = lam.copy()
         rates[3] = -lam[3]

@@ -112,6 +112,12 @@ def build_initial_state(cfg: SimulationConfig, family: SolitonFamily, grid: Grid
 def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
     """Evolve, extract at cadence, track H_mech drift / phi norms / d_eps.
 
+    Each extraction starts from a secant guess: the previous sample's `p`
+    and `q` advanced by `coordinate_rates`, plus the previous sample's
+    Newton correction (its step in `p`, its miss of the rates in `q`)
+    scaled by the ratio of the two gaps.  On a free soliton the miss is a
+    constant rate error, and the guess is the root.
+
     `summary["timing"]` gives the run's wall seconds (`wall_s`) and those of
     each layer: set-up (initial state and `V^eff`), stepping, diagnostics,
     extraction, `mech_run` and `orbit_distance`, with the step and sample
@@ -155,17 +161,20 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
     want_s = sorted({s for _, s in cfg.strichartz_pairs})
     rows = {k: [] for k in ROW_FIELDS}
     sn = {s: [] for s in want_s}
-    state = {"prev": dec0.coords, "t_prev": 0.0, "partial": False, "t_fail": None,
-             "error": None}
+    # the previous sample's coordinates and time, its gap, and its Newton
+    # correction: the step in p and the miss of the rates predictor in q
+    state = {"prev": dec0.coords, "t_prev": 0.0, "gap": 0.0, "dp": 0.0, "cq": 0.0,
+             "partial": False, "t_fail": None, "error": None}
     fields = []
 
     def observer(i, t, f):
         """Record one sample; True (stop stepping) once extraction fails.
         Sample 0 is psi0 itself, already extracted as dec0."""
         prev = state["prev"]
-        dt_gap = t - state["t_prev"]
-        guess = SolitonCoordinates(
-            prev.p.copy(), prev.q + dt_gap * family.coordinate_rates(prev.p))
+        gap = t - state["t_prev"]
+        w = gap / state["gap"] if state["gap"] else 0.0    # 0: no correction yet
+        base = prev.q + gap * family.coordinate_rates(prev.p)
+        guess = SolitonCoordinates(prev.p + w * state["dp"], base + w * state["cq"])
         t0 = perf_counter()
         try:
             dec = extract(f, family, guess=guess, tol=cfg.newton_tol,
@@ -177,8 +186,8 @@ def scenario_run(cfg: SimulationConfig, keep_fields: bool = False) -> RunRecord:
             return True
         finally:
             timing["extract_s"] += perf_counter() - t0
-        state["prev"] = dec.coords
-        state["t_prev"] = t
+        state.update(prev=dec.coords, t_prev=t, gap=gap,
+                     dp=dec.coords.p - prev.p, cq=dec.coords.q - base)
         point = MechState(dec.coords.p[axis], dec.coords.q[axis])
         hm = mech_energy(point, m_used, cfg.epsilon, veff)
         t0 = perf_counter()

@@ -71,7 +71,8 @@ class NonlinearityModel:
         if out is not s:
             np.copyto(out, s)
         if self.kind == "power":
-            out **= self.sigma            # the fast paths of s**sigma
+            if self.sigma != 1.0:         # s**1 is s: skip a full pass
+                out **= self.sigma        # the fast paths of s**sigma
             out *= self.c
         else:
             d = 1.0 + out

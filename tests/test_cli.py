@@ -173,6 +173,19 @@ def test_cli_mech_at_reference_mass(cfg_file, tmp_path):
     assert veff["Veff"][128] == pytest.approx(-3.9023, abs=1e-4)
 
 
+def test_cli_mech_at_p4_mass(cfg_file, tmp_path):
+    # p4 = 1 gives the run's soliton mass m_ref + p4/2 = 1.5, the mass a
+    # scenario run uses; mass 1 gave V^eff(0) = -1.8285
+    ini = cfg_file(t_final=5.0)
+    ini.write_text(ini.read_text().replace("q_init = 3.0 0 0 0",
+                                           "q_init = 3.0 0 0 0\np_init = 0 0 0 1.0"))
+    assert main(["--config", str(ini), "mech"]) == 0
+    from solitonlab.harness import read_csv
+    veff = read_csv(tmp_path / "out" / "veff.csv")
+    assert veff["q"][128] == 0.0
+    assert veff["Veff"][128] == pytest.approx(-2.8745, abs=1e-4)
+
+
 def test_cli_mech_3d(cfg_file, tmp_path):
     # 3D: the mechanics run on the symmetry axis, and V^eff is written there
     ini = cfg_file(L=60.0, t_final=5.0)

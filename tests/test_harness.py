@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,6 +308,12 @@ def test_newton_statistics_in_summary(short_run):
     json.dumps(short_run.summary, default=float)
 
 
+def test_warm_start_short_run(short_run):
+    # the secant guess leaves one Newton iteration per sample; only the first
+    # sample after t = 0, guessed by the rates alone, may take more
+    assert np.sum(short_run.rows["newton_iters"] > 1) <= 1
+
+
 def test_critical_margin_reported(short_run):
     assert short_run.summary["critical_margin"] > 0.2
 
@@ -349,6 +356,20 @@ def free_run():
 
 def test_golden_free_run(free_run):
     _check_golden(free_run, "free_run")
+
+
+def test_warm_start_free_run(free_run):
+    # on a free soliton the rates predictor misses by a constant rate, so
+    # from the second sample after t = 0 the secant guess is the root
+    assert np.all(free_run.rows["newton_iters"][2:] == 0)
+    assert free_run.summary["newton_iters_hist"] == [100, 1]
+
+
+def test_warm_start_shorter_last_gap():
+    # t = 5.025 ends on a half gap: the previous correction scales with it
+    rec = scenario_run(replace(_free_run_cfg(), t_final=5.025))
+    assert rec.rows["t"][-1] == pytest.approx(5.025)
+    assert np.all(rec.rows["newton_iters"][2:] == 0)
 
 
 def test_run_timing(free_run):

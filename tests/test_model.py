@@ -66,6 +66,15 @@ def test_beta_prime_in_place(m):
     assert np.array_equal(s, want)
 
 
+def test_beta_prime_cubic_in_place_is_c_times_s():
+    # sigma = 1 skips the power pass; the Stepper's phase stays c * s bit for bit
+    m = NonlinearityModel("power", 1.0, 2.0)
+    s = np.random.default_rng(5).random(10_000) * 4.0
+    want = m.c * s
+    assert m.beta_prime(s, out=s) is s
+    assert np.array_equal(s, want)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         NonlinearityModel("power", sigma=2.5)
