@@ -9,10 +9,16 @@ monotone decreasing).  Solver routing:
                 is kept as an independent cross-check
   saturable     shooting with bisection on b(0) and a smooth exponential tail
 
+The Petviashvili solve is memoized: a process makes one per model, energy
+and radial grid, and the callers share its read-only profile.  The
+dispatch's warning and checks still run on every call.
+
 A power family scales one reference profile B, the ground state at E = 1:
 b(E, r) = E^(1/(2 sigma)) B(sqrt(E) r), so m(E) = m(1) E^(1/sigma - d/2) and
-the E-derivatives of b are closed forms in (log B)' and (log B)''.  Only the
-saturable kind needs the mass curve and differences of profiles in E.
+the E-derivatives of b are closed forms in (log B)' and (log B)''.  A power
+mass curve is that one solve's mass times E^(1/sigma - d/2).  Only the
+saturable kind solves at every energy of its mass curve and differences
+profiles in E.
 
 Residual norms are measured with spectral differentiation (periodic even
 extension in 1D, odd-extension DST of u = r b in 3D): a second-order stencil
@@ -21,6 +27,7 @@ would bury the solver error under O(h^2) truncation.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -269,13 +276,15 @@ def shoot_ground_state(model: NonlinearityModel, energy: float, dim: int,
     return prof
 
 
+@functools.lru_cache(maxsize=8)
 def petviashvili_ground_state(model: NonlinearityModel, energy: float,
                               r_max: float = 40.0, n: int = 2048,
                               tol: float = 1e-13, max_iter: int = 800) -> GroundStateProfile:
     """3D radial spectral-renormalization iteration on u = r b.
 
     Power nonlinearity only (the stabilizing exponent uses its homogeneity
-    degree nu = 2 sigma + 1).
+    degree nu = 2 sigma + 1).  Memoized per process on all the arguments:
+    callers share the returned profile, whose r and b are read-only.
     """
     if model.kind != "power":
         raise GroundStateError("petviashvili iteration requires the power kind")
@@ -297,17 +306,17 @@ def petviashvili_ground_state(model: NonlinearityModel, energy: float,
         bb = u / ri
         return c * np.abs(bb) ** (2.0 * sg) * u
 
-    res_prev = np.inf
-    for it in range(max_iter):
-        Nu = nlin(u)
-        uhat = sfft.dst(u, type=1)
-        Nhat = sfft.dst(Nu, type=1)
+    uhat = sfft.dst(u, type=1)
+    for _ in range(max_iter):
+        Nhat = sfft.dst(nlin(u), type=1)
         num = np.sum(sym * uhat * uhat)
         den = np.sum(uhat * Nhat)
         if den <= 0:
             raise GroundStateError("petviashvili stabilizer lost positivity")
-        gam = num / den
-        u_new = sfft.dst(Nhat / sym, type=1) / (2.0 * (m + 1)) * gam**theta
+        # DST-I is its own inverse up to 2(m + 1): carry the new iterate's
+        # transform into the next iteration instead of transforming it again
+        uhat = Nhat / sym * (num / den) ** theta
+        u_new = sfft.dst(uhat, type=1) / (2.0 * (m + 1))
         delta = np.max(np.abs(u_new - u)) / np.max(np.abs(u_new))
         u = u_new
         if delta < tol:
@@ -329,6 +338,7 @@ def petviashvili_ground_state(model: NonlinearityModel, energy: float,
         k = low[0] - 1
         b[k + 1:] = b[k] * r[k] / r[k + 1:] * np.exp(-math.sqrt(energy) * (r[k + 1:] - r[k]))
     b = np.maximum(b, 1e-300)
+    r.flags.writeable = b.flags.writeable = False
     prof = GroundStateProfile(energy, 3, r, b, model)
     prof.residual = profile_residual(prof, model)
     return prof
@@ -387,10 +397,21 @@ class MassCurve:
 
 def mass_curve(model: NonlinearityModel, e_lo: float, e_hi: float,
                n_samples: int, dim: int = 1, **solver_kw) -> MassCurve:
+    """m(E) at n_samples energies from e_lo to e_hi, with its slopes.  The
+    power kind scales the mass of one solve at E = 1 (the family's
+    reference), m(E) = m(1) E^(1/sigma - d/2); the saturable kind solves at
+    every sample."""
     if n_samples < 3:
         raise GroundStateError("need >= 3 samples")
     es = np.linspace(e_lo, e_hi, n_samples)
-    ms = np.array([solve_ground_state(model, float(e), dim, **solver_kw).mass for e in es])
+    if model.kind == "power":
+        if np.min(es) <= 0:
+            raise GroundStateError("energy must be positive")
+        m1 = solve_ground_state(model, 1.0, dim, **solver_kw).mass
+        ms = m1 * es ** (1.0 / model.sigma - dim / 2.0)
+    else:
+        ms = np.array([solve_ground_state(model, float(e), dim, **solver_kw).mass
+                       for e in es])
     slopes = np.gradient(ms, es, edge_order=2)
     return MassCurve(es, ms, slopes, bool(np.all(slopes > 0)))
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import solve_ivp
 
 from solitonlab.field import Grid, momenta
@@ -13,6 +14,20 @@ from solitonlab.groundstate import (GroundStateError, GroundStateProfile,
 from solitonlab.model import NonlinearityModel
 
 SQRT_MODEL = NonlinearityModel("power", sigma=0.5, c=1.0)
+
+
+@pytest.fixture()
+def dst_calls(monkeypatch):
+    """A cold Petviashvili memo, and a list that records each scipy.fft.dst call."""
+    petviashvili_ground_state.cache_clear()
+    calls = []
+    dst = scipy.fft.dst
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return dst(*args, **kw)
+    monkeypatch.setattr(scipy.fft, "dst", counting)
+    return calls
 
 
 # -- 1D closed forms -------------------------------------------------------------
@@ -126,6 +141,38 @@ def test_3d_supercritical_warns(cubic):
         solve_ground_state(cubic, 1.0, dim=3, r_max=25.0, n=1024)
 
 
+def test_3d_petviashvili_two_dsts_per_iteration(dst_calls):
+    # the carried transform keeps the three-DST iteration's mass; an
+    # iteration stopped after 5 steps transforms once, then twice a step
+    prof = petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=1536)
+    assert prof.mass == pytest.approx(65.4903550743591, rel=1e-13)
+    dst_calls.clear()
+    with pytest.raises(GroundStateError, match="converge"):
+        petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=512, max_iter=5)
+    assert len(dst_calls) == 1 + 2 * 5
+
+
+def test_3d_family_reuses_the_solve(dst_calls):
+    solve_ground_state(SQRT_MODEL, 1.0, dim=3, r_max=30.0, n=1536)
+    dst_calls.clear()
+    SolitonFamily(SQRT_MODEL, 3, m_ref=1.0, r_max=30.0, n_r=1536)
+    assert len(dst_calls) == 0
+
+
+def test_3d_cached_profile_is_shared_read_only(cubic):
+    petviashvili_ground_state.cache_clear()
+    prof = petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=512)
+    assert petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=512) is prof
+    with pytest.raises(ValueError):
+        prof.b[0] = 1.0
+    with pytest.raises(ValueError):
+        prof.r[0] = 1.0
+    # the dispatch's checks run on every call, a cached one too
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="h2"):
+            solve_ground_state(cubic, 1.0, dim=3, r_max=25.0, n=1024)
+
+
 def test_saturable_shooting():
     m = NonlinearityModel("saturable", c=3.0)
     prof = shoot_ground_state(m, 1.0, dim=1, r_max=30.0, n=1024)
@@ -176,6 +223,18 @@ def test_mass_curve_3d_cubic_h2_fails(cubic):
 def test_mass_curve_3d_sqrt_h2_holds():
     curve = mass_curve(SQRT_MODEL, 0.8, 1.2, 3, dim=3, r_max=30.0, n=1024)
     assert curve.monotone
+
+
+def test_mass_curve_3d_power_is_one_solve(dst_calls):
+    petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=1024)
+    one_solve = len(dst_calls)
+    petviashvili_ground_state.cache_clear()
+    dst_calls.clear()
+    curve = mass_curve(SQRT_MODEL, 0.9, 1.1, 3, dim=3, r_max=30.0, n=1024)
+    assert len(dst_calls) == one_solve
+    for E, m in zip(curve.energies, curve.masses):
+        want = petviashvili_ground_state(SQRT_MODEL, float(E), r_max=30.0, n=1024).mass
+        assert m == pytest.approx(want, rel=1e-13)
 
 
 def test_energy_of_mass_cubic(cubic):

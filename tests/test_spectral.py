@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from solitonlab import spectral
 from solitonlab.groundstate import GroundStateProfile, solve_ground_state
 from solitonlab.model import NonlinearityModel
 from solitonlab.spectral import (SpectralError, build_operators, check_h2_h3_h5,
@@ -122,8 +123,20 @@ def test_check_h2_fails_3d_cubic(cubic):
     assert out["dm_dE"] < 0
 
 
-def test_check_h2_holds_3d_sqrt():
+def test_check_h2_holds_3d_sqrt(monkeypatch):
     model = NonlinearityModel("power", sigma=0.5, c=1.0)
+    solves = []
+
+    def counting(*args, **kw):
+        solves.append(args)
+        return solve_ground_state(*args, **kw)
+    monkeypatch.setattr(spectral, "solve_ground_state", counting)
     out = check_h2_h3_h5(model, 1.0, dim=3, n=512, r_max=30.0)
     assert out["h2_ok"]
     assert out["dm_dE"] > 0
+    # one solve: the slope is the scaling law's, which a centred difference
+    # of two solves (error O(s^2) ~ 5e-7) confirms
+    assert len(solves) == 1
+    s = 2e-3
+    m_lo, m_hi = (solve_ground_state(model, 1.0 + d, 3, r_max=30.0).mass for d in (-s, s))
+    assert out["dm_dE"] == pytest.approx((m_hi - m_lo) / (2.0 * s), rel=1e-6)
