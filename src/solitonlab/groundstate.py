@@ -4,9 +4,10 @@ The profile solves  -Lap b - beta'(b^2) b + E b = 0  (positive, radial,
 monotone decreasing).  Solver routing:
 
   1D power      closed form  b(x) = ((1+sigma)E/c)^(1/(2 sigma)) sech^(1/sigma)(sigma sqrt(E) x)
-  3D power      Petviashvili iteration on u = r b (DST Laplacian), its tail
-                below 1e-12 b(0) continued as C e^{-sqrt(E) r}/r; shooting
-                is kept as an independent cross-check
+  3D power      Anderson-mixed Petviashvili iteration on u = r b (DST
+                Laplacian), its tail below 1e-12 b(0) continued as
+                C e^{-sqrt(E) r}/r; shooting is kept as an independent
+                cross-check
   saturable     shooting with bisection on b(0) and a smooth exponential tail
 
 The Petviashvili solve is memoized: a process makes one per model, energy
@@ -16,7 +17,8 @@ dispatch's warning and checks still run on every call.
 A power family scales one reference profile B, the ground state at E = 1:
 b(E, r) = E^(1/(2 sigma)) B(sqrt(E) r), so m(E) = m(1) E^(1/sigma - d/2) and
 the E-derivatives of b are closed forms in (log B)' and (log B)''.  A power
-mass curve is that one solve's mass times E^(1/sigma - d/2).  Only the
+mass curve is that one solve's mass times E^(1/sigma - d/2), and its slopes
+are the law's (1/sigma - d/2) m / E.  Only the
 saturable kind solves at every energy of its mass curve and differences
 profiles in E.
 
@@ -276,6 +278,9 @@ def shoot_ground_state(model: NonlinearityModel, energy: float, dim: int,
     return prof
 
 
+_ANDERSON_DEPTH = 3
+
+
 @functools.lru_cache(maxsize=8)
 def petviashvili_ground_state(model: NonlinearityModel, energy: float,
                               r_max: float = 40.0, n: int = 2048,
@@ -285,6 +290,20 @@ def petviashvili_ground_state(model: NonlinearityModel, energy: float,
     Power nonlinearity only (the stabilizing exponent uses its homogeneity
     degree nu = 2 sigma + 1).  Memoized per process on all the arguments:
     callers share the returned profile, whose r and b are read-only.
+
+    The Petviashvili step G maps the DST-I transform uhat of the iterate to
+    N^(uhat) / (k^2 + E) times the stabilizing factor; alone it converges
+    only linearly (77 steps to tol = 1e-13 at sigma = 1/2).  Each step is
+    Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal. 49 (2011) 1715, type
+    II, depth 3): with f = G(uhat) - uhat and the differences dX, dF of the
+    last three iterates and residuals, the next iterate is
+    G(uhat) - (dX + dF) gamma, gamma the least-squares fit of dF gamma = f.
+    That takes 15 steps at sigma = 1/2 (18 at sigma = 1, about 30 at
+    sigma = 1/4) and stops at the fixed point the plain step only
+    approaches.  A step still makes two DSTs, so the cost is set by the DST
+    length: at n = 1536 the DST-I of the 1534 interior points runs an FFT of
+    length 3070 = 2 * 5 * 307, whose prime factor pocketfft handles by
+    Bluestein's algorithm, several times slower per call than at n = 1024.
     """
     if model.kind != "power":
         raise GroundStateError("petviashvili iteration requires the power kind")
@@ -307,15 +326,26 @@ def petviashvili_ground_state(model: NonlinearityModel, energy: float,
         return c * np.abs(bb) ** (2.0 * sg) * u
 
     uhat = sfft.dst(u, type=1)
-    for _ in range(max_iter):
+    dX, dF = [], []
+    for it in range(max_iter):
         Nhat = sfft.dst(nlin(u), type=1)
         num = np.sum(sym * uhat * uhat)
         den = np.sum(uhat * Nhat)
         if den <= 0:
             raise GroundStateError("petviashvili stabilizer lost positivity")
+        g = Nhat / sym * (num / den) ** theta
+        f = g - uhat
+        if it:
+            dX.append(uhat - uhat_prev)
+            dF.append(f - f_prev)
+            del dX[:-_ANDERSON_DEPTH], dF[:-_ANDERSON_DEPTH]
+            F = np.column_stack(dF)
+            gamma = np.linalg.lstsq(F, f, rcond=None)[0]
+            g = g - (np.column_stack(dX) + F) @ gamma
+        uhat_prev, f_prev = uhat, f
         # DST-I is its own inverse up to 2(m + 1): carry the new iterate's
         # transform into the next iteration instead of transforming it again
-        uhat = Nhat / sym * (num / den) ** theta
+        uhat = g
         u_new = sfft.dst(uhat, type=1) / (2.0 * (m + 1))
         delta = np.max(np.abs(u_new - u)) / np.max(np.abs(u_new))
         u = u_new
@@ -376,7 +406,7 @@ def solve_ground_state(model: NonlinearityModel, energy: float, dim: int = 1,
 class MassCurve:
     energies: np.ndarray
     masses: np.ndarray
-    slopes: np.ndarray            # dm/dE, centered differences
+    slopes: np.ndarray            # dm/dE: the scaling law (power), centred differences
     monotone: bool
 
     def __post_init__(self):
@@ -399,20 +429,22 @@ def mass_curve(model: NonlinearityModel, e_lo: float, e_hi: float,
                n_samples: int, dim: int = 1, **solver_kw) -> MassCurve:
     """m(E) at n_samples energies from e_lo to e_hi, with its slopes.  The
     power kind scales the mass of one solve at E = 1 (the family's
-    reference), m(E) = m(1) E^(1/sigma - d/2); the saturable kind solves at
-    every sample."""
+    reference), m(E) = m(1) E^(1/sigma - d/2), and takes its slopes from the
+    same law, dm/dE = (1/sigma - d/2) m / E; the saturable kind solves at
+    every sample and differences the masses."""
     if n_samples < 3:
         raise GroundStateError("need >= 3 samples")
     es = np.linspace(e_lo, e_hi, n_samples)
     if model.kind == "power":
         if np.min(es) <= 0:
             raise GroundStateError("energy must be positive")
-        m1 = solve_ground_state(model, 1.0, dim, **solver_kw).mass
-        ms = m1 * es ** (1.0 / model.sigma - dim / 2.0)
+        power = 1.0 / model.sigma - dim / 2.0
+        ms = solve_ground_state(model, 1.0, dim, **solver_kw).mass * es**power
+        slopes = power * ms / es
     else:
         ms = np.array([solve_ground_state(model, float(e), dim, **solver_kw).mass
                        for e in es])
-    slopes = np.gradient(ms, es, edge_order=2)
+        slopes = np.gradient(ms, es, edge_order=2)
     return MassCurve(es, ms, slopes, bool(np.all(slopes > 0)))
 
 

@@ -142,14 +142,25 @@ def test_3d_supercritical_warns(cubic):
 
 
 def test_3d_petviashvili_two_dsts_per_iteration(dst_calls):
-    # the carried transform keeps the three-DST iteration's mass; an
-    # iteration stopped after 5 steps transforms once, then twice a step
+    # the mass of the converged iterate, which the plain (unmixed) iteration
+    # reaches only when pushed to tol = 1e-15; an iteration stopped after
+    # 5 steps transforms once, then twice a step
     prof = petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=1536)
-    assert prof.mass == pytest.approx(65.4903550743591, rel=1e-13)
+    assert prof.mass == pytest.approx(65.49035507437067, rel=1e-13)
     dst_calls.clear()
     with pytest.raises(GroundStateError, match="converge"):
         petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=512, max_iter=5)
     assert len(dst_calls) == 1 + 2 * 5
+
+
+def test_3d_petviashvili_anderson_reaches_the_fixed_point(dst_calls):
+    # the mixed iteration stops within 25 steps (the plain one took 77), and
+    # a tighter tol no longer moves the mass: the increment is at roundoff
+    # (3e-16) a step or two later, where the mass itself wanders by ~1e-15
+    prof = petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=1536)
+    assert len(dst_calls) <= 1 + 2 * 25
+    tight = petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=1536, tol=1e-15)
+    assert tight.mass == pytest.approx(prof.mass, rel=1e-14)
 
 
 def test_3d_family_reuses_the_solve(dst_calls):
@@ -223,6 +234,17 @@ def test_mass_curve_3d_cubic_h2_fails(cubic):
 def test_mass_curve_3d_sqrt_h2_holds():
     curve = mass_curve(SQRT_MODEL, 0.8, 1.2, 3, dim=3, r_max=30.0, n=1024)
     assert curve.monotone
+
+
+@pytest.mark.parametrize("model, dim, kw", [
+    (NonlinearityModel("power", sigma=1.0, c=2.0), 1, {}),
+    (SQRT_MODEL, 3, dict(r_max=30.0, n=1024)),
+], ids=["cubic1d", "sqrt3d"])
+def test_mass_curve_power_slopes_are_the_law(model, dim, kw):
+    # dm/dE = (1/sigma - d/2) m / E, not a difference of the samples
+    curve = mass_curve(model, 0.9, 1.1, 3, dim=dim, **kw)
+    law = (1.0 / model.sigma - dim / 2.0) * curve.masses / curve.energies
+    np.testing.assert_allclose(curve.slopes, law, rtol=1e-13, atol=0.0)
 
 
 def test_mass_curve_3d_power_is_one_solve(dst_calls):
