@@ -406,7 +406,7 @@ def solve_ground_state(model: NonlinearityModel, energy: float, dim: int = 1,
 class MassCurve:
     energies: np.ndarray
     masses: np.ndarray
-    slopes: np.ndarray            # dm/dE: the scaling law (power), centred differences
+    slopes: np.ndarray            # dm/dE: the power law, or centred differences (saturable)
     monotone: bool
 
     def __post_init__(self):
