@@ -148,7 +148,8 @@ def build_parser():
     p.add_argument("--config", required=True, help="path to the INI config file")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="processes running sweep members at once, this one included")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("groundstate")
     mc = sub.add_parser("masscurve")
@@ -195,6 +196,8 @@ def main(argv=None) -> int:
 
 def _main(args) -> int:
     try:
+        if args.threads < 1:
+            raise ConfigError([f"--threads: need >= 1, got {args.threads}"])
         cfg = load_config(args.config)
         if args.seed is not None:
             from .model import with_updates

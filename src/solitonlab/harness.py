@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -292,17 +293,32 @@ def epsilon_sweep(base: SimulationConfig, eps_list, t0: float | None = None,
                   threads: int = 1, target_samples: int = 2500,
                   keep_records: bool = False) -> SweepResult:
     """Identical scenario at >= 3 epsilon values; log-log slope fits of the
-    max drift, max phi_H1 and max d_eps against eps."""
+    max drift, max phi_H1 and max d_eps against eps.
+
+    `threads` is the number of members that run at once, this process
+    included.  With `threads > 1` the calling process runs the smallest eps,
+    the longest member (horizon t0/eps), and a forked pool of
+    `min(threads, members) - 1` workers runs the others, longest first.
+    Entries and records come in descending eps either way; a pooled sweep
+    raises the error of its smallest failing eps."""
     eps_list = sorted(eps_list, reverse=True)
     if len(eps_list) < 3:
         raise ValueError("need >= 3 epsilon values for a slope fit")
     cfgs = [_sweep_cfg(base, e, t0, target_samples) for e in eps_list]
     run = scenario_run if keep_records else _run_summary
     if threads > 1:
-        # the smallest eps runs longest (horizon t0/eps): submit it first so
-        # that no worker idles while it finishes; results keep the eps order
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            out = list(ex.map(run, cfgs[::-1]))[::-1]
+        # Fork, not the platform default (forkserver from Python 3.14): the
+        # workers inherit this process as it stands, patched names and open
+        # trace spans included.  A fork pool starts all its workers at the
+        # first submit, before this process steps a field, so no step thread
+        # pool (evolve) is alive at a fork.  The others go longest first, so
+        # that no worker idles while this process runs the smallest eps;
+        # results are read smallest eps first and keep the eps order.
+        with ProcessPoolExecutor(max_workers=min(threads, len(cfgs)) - 1,
+                                 mp_context=multiprocessing.get_context("fork")) as ex:
+            futures = [ex.submit(run, c) for c in cfgs[-2::-1]]
+            last = run(cfgs[-1])
+            out = [f.result() for f in futures][::-1] + [last]
     else:
         out = [run(c) for c in cfgs]
     entries = [r.summary for r in out] if keep_records else out

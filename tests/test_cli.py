@@ -227,6 +227,15 @@ def test_cli_bad_sweep_eps_exit_code(cfg_file, capsys, eps):
     assert "config error: --eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_bad_threads_exit_code(cfg_file, capsys, threads):
+    # fewer than one process cannot run a sweep: refused, not run serially
+    argv = ["--config", str(cfg_file()), "--threads", threads,
+            "sweep", "--eps", "0.01,0.004,0.001", "--t0", "0.1"]
+    assert main(argv) == 1
+    assert "config error: --threads" in capsys.readouterr().err
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[grid]\nn = 100\n")

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import pathlib
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +287,44 @@ def test_sweep_tiny_slopes():
     res = epsilon_sweep(cfg, [1e-2, 4e-3, 1e-3], t0=0.2)
     assert set(res.slopes) == {"drift", "phi_h1", "d_eps"}
     assert res.slopes["phi_h1"]["slope"] == pytest.approx(0.5, abs=0.1)
+
+
+def test_pooled_sweep_runs_its_longest_member_in_the_caller(monkeypatch):
+    # `threads` counts the calling process: it runs the smallest eps, the
+    # longest member, and the pool holds at most one worker per other member
+    real = hn.scenario_run
+    sizes = []
+
+    def stamped(cfg, *args, **kwargs):
+        rec = real(cfg, *args, **kwargs)
+        rec.summary["pid"] = os.getpid()
+        return rec
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(hn, "scenario_run", stamped)
+    monkeypatch.setattr(hn, "ProcessPoolExecutor", Pool)
+    cfg = _base_cfg(t_final=0.0, dt=4e-3)
+    eps = [1e-2, 4e-3, 1e-3]
+
+    def bare(res):
+        return [json.dumps({k: v for k, v in e.items() if k not in ("timing", "pid")},
+                           sort_keys=True) for e in res.entries]
+
+    serial = epsilon_sweep(cfg, eps, t0=0.2)
+    two = epsilon_sweep(cfg, eps, t0=0.2, threads=2)
+    assert sizes == [1]
+    pids = [e["pid"] for e in two.entries]
+    assert pids[2] == os.getpid()
+    assert pids[0] == pids[1] != os.getpid()
+    eight = epsilon_sweep(cfg, eps, t0=0.2, threads=8)
+    assert sizes == [1, 2]
+    assert [e["epsilon"] for e in serial.entries] == eps
+    assert bare(two) == bare(serial)
+    assert bare(eight) == bare(serial)
 
 
 def test_strichartz_norms_recorded():
