@@ -4,23 +4,21 @@ The profile solves  -Lap b - beta'(b^2) b + E b = 0  (positive, radial,
 monotone decreasing).  Solver routing:
 
   1D power      closed form  b(x) = ((1+sigma)E/c)^(1/(2 sigma)) sech^(1/sigma)(sigma sqrt(E) x)
-  3D power      Anderson-mixed Petviashvili iteration on u = r b (DST
-                Laplacian), its tail below 1e-12 b(0) continued as
-                C e^{-sqrt(E) r}/r; shooting is kept as an independent
-                cross-check
-  saturable     shooting with bisection on b(0) and a smooth exponential tail
+  3D power      Anderson-mixed Petviashvili iteration on u = r b (DST)
+  saturable     radial Newton solve with exact b_E, b_EE (banded 4th-order
+                stencil); also the tests' cross-check of the power kind
 
-The Petviashvili solve is memoized: a process makes one per model, energy
-and radial grid, and the callers share its read-only profile.  The
-dispatch's warning and checks still run on every call.
+Both iterative solves continue the tail below 1e-12 b(0) as
+C e^{-sqrt(E) r}/r^(d-1).  The Petviashvili solve is memoized: a process
+makes one per model, energy and radial grid, and the callers share its
+read-only profile.  The dispatch's warning and checks still run on every call.
 
 A power family scales one reference profile B, the ground state at E = 1:
 b(E, r) = E^(1/(2 sigma)) B(sqrt(E) r), so m(E) = m(1) E^(1/sigma - d/2) and
 the E-derivatives of b are closed forms in (log B)' and (log B)''.  A power
 mass curve is that one solve's mass times E^(1/sigma - d/2), and its slopes
-are the law's (1/sigma - d/2) m / E.  Only the
-saturable kind solves at every energy of its mass curve and differences
-profiles in E.
+are the law's (1/sigma - d/2) m / E.  The saturable kind solves at every
+energy it meets, and m'(E), m''(E) are quadratures of b b_E, b_E^2 + b b_EE.
 
 Residual norms are measured with spectral differentiation (periodic even
 extension in 1D, odd-extension DST of u = r b in 3D): a second-order stencil
@@ -30,14 +28,15 @@ would bury the solver error under O(h^2) truncation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.linalg import solve_banded
 
 from .field import FieldState, Grid, apply_symmetry
 from .model import NonlinearityModel
@@ -45,7 +44,7 @@ from .model import NonlinearityModel
 __all__ = [
     "GroundStateError", "GroundStateProfile", "MassCurve", "SolitonParameters",
     "SolitonTangents", "SolitonFamily",
-    "solve_ground_state", "shoot_ground_state", "petviashvili_ground_state",
+    "solve_ground_state", "newton_ground_state", "petviashvili_ground_state",
     "mass_of", "mass_curve", "check_h2", "energy_of_mass", "profile_residual",
 ]
 
@@ -67,6 +66,8 @@ class GroundStateProfile:
     decay_rate: float = float("nan")
     mass: float = field(default=float("nan"))
     exact: object = None          # closed-form callable when available
+    b_E: np.ndarray | None = None  # exact d b/dE and d^2 b/dE^2 on r (radial Newton solve)
+    b_EE: np.ndarray | None = None
 
     def __post_init__(self):
         if np.isnan(self.mass):
@@ -101,6 +102,12 @@ class GroundStateProfile:
             return self.exact(r)
         return np.exp(self._log_spline()(r))
 
+    def mass_derivatives(self):
+        """(dm/dE, d^2 m/dE^2) of mass_of's quadrature, from the exact b_E, b_EE."""
+        b, b_E = self.b, self.b_E
+        return (2.0 * _radial_integral(self.dim, self.r, b * b_E),
+                2.0 * _radial_integral(self.dim, self.r, b_E * b_E + b * self.b_EE))
+
     def log_derivatives(self, r):
         """((log b)', (log b)'') of the interpolant that __call__ evaluates,
         at radii r >= 0."""
@@ -134,12 +141,16 @@ class _RadialSpline:
         return d1, d2
 
 
+def _radial_integral(dim: int, r: np.ndarray, f: np.ndarray) -> float:
+    """The r^(d-1)-weighted trapezoid of f over the half-line (2 pi times it in 3D)."""
+    if dim == 1:
+        return float(np.trapezoid(f, r))
+    return float(2.0 * np.pi * np.trapezoid(f * r**2, r))
+
+
 def mass_of(profile: GroundStateProfile) -> float:
     """m = P4(b)/2 with the r^(d-1)-weighted trapezoid matching the grid."""
-    r, b = profile.r, profile.b
-    if profile.dim == 1:
-        return float(np.trapezoid(b**2, r))            # P4 = 2 * integral, m = P4/2
-    return float(2.0 * np.pi * np.trapezoid(b**2 * r**2, r))
+    return _radial_integral(profile.dim, profile.r, profile.b**2)
 
 
 def profile_residual(profile: GroundStateProfile, model: NonlinearityModel) -> float:
@@ -184,98 +195,100 @@ def _closed_form_1d(model: NonlinearityModel, energy: float):
     return b
 
 
-def _shoot_once(model, energy, dim, b0, r_max, rtol=1e-12, atol=1e-14):
-    """Integrate outward from r ~ 0; classify overshoot / undershoot."""
-
-    def rhs(r, y):
-        b, bp = y
-        lap_rest = (dim - 1) / r * bp if r > 0 else 0.0
-        return [bp, -lap_rest + energy * b - model.beta_prime(b * b) * b]
-
-    r0 = 1e-8
-    bpp0 = (energy * b0 - model.beta_prime(b0 * b0) * b0) / dim
-    y0 = [b0 + 0.5 * bpp0 * r0**2, bpp0 * r0]
-
-    def cross(r, y):
-        return y[0]
-    cross.terminal, cross.direction = True, -1
-
-    def turn(r, y):
-        return y[1]
-    turn.terminal, turn.direction = True, 1
-
-    sol = solve_ivp(rhs, (r0, r_max), y0, events=(cross, turn),
-                    rtol=rtol, atol=atol, dense_output=True, method="DOP853")
-    crossed = len(sol.t_events[0]) > 0
-    turned = len(sol.t_events[1]) > 0
-    return sol, crossed, turned
+_NEWTON_TOL = 1e-11     # max|dy| <= tol max|y|; at 1e-13 roundoff kept b(0) >~ 6 from stopping
+_S_FLOOR = 1e-200       # b^2 floor: keeps a power's beta'' and beta''' s finite at b = 0
 
 
-def shoot_ground_state(model: NonlinearityModel, energy: float, dim: int,
-                       r_max: float = 40.0, n: int = 2048,
-                       b0_guess: float | None = None) -> GroundStateProfile:
-    """Shooting with bisection on b(0); smooth exponential tail beyond the
-    radius where the numerical solution decays into integration noise."""
-    if energy <= 0:
-        raise GroundStateError("energy must be positive")
+def newton_ground_state(model: NonlinearityModel, energy: float, dim: int,
+                        r_max: float = 40.0, n: int = 2048) -> GroundStateProfile:
+    """Newton on F = -Lap b + E b - beta'(b^2) b = 0 at the radii 0, h, ..., r_max
+    with a 4th-order stencil: on y = b (even at r = 0) in 1D, on y = r b (odd
+    at r = 0) in 3D, zero from r_max on.  The Jacobian
+    J = -Lap + E - beta'(b^2) - 2 beta''(b^2) b^2 is a pentadiagonal band, and
+    J y_next = J y - F(y) = -2 beta''(b^2) b^2 y.  At the root J b_E = -b and
+    J b_EE = -2 b_E + (6 beta'' b + 4 beta''' b^3) b_E^2 give the exact
+    E-derivatives, completed with b by `_complete_radial`.
+
+    Newton from one sech guess can land on -b, on b = 0 or on a state with a
+    node, so the guesses A sqrt(2E/c) sech(k sqrt(E) r), A in (1, 2),
+    k in (2, 1, 1/2, 1/4), are tried in turn until one reaches a monotone
+    profile (up to sign) whose centre is bound, beta'(b(0)^2) > E."""
     if model.kind == "saturable" and energy >= model.c:
         raise GroundStateError("saturable kind needs energy < c for decay")
+    r, h = np.linspace(0.0, r_max, n, retstep=True)
+    live = slice(dim == 3, n - 1)        # the unknowns; b(r_max) is continued
+    w = r[live] if dim == 3 else 1.0
+    # -d^2/dr^2 (spectral._lap_4th's stencil) as solve_banded's (2, 2) band
+    lap = np.repeat([[1.0], [-16.0], [30.0], [-16.0], [1.0]], len(r[live]), axis=1)
+    if dim == 1:
+        lap[0, 2], lap[1, 1], lap[2, 1] = 2.0, -32.0, 31.0   # b(-h) = b(h), b(-2h) = b(2h)
+    else:
+        lap[2, 0] = 29.0                                    # u(-h) = -u(h), u(0) = 0
+    lap /= 12.0 * h * h
 
-    if b0_guess is None:
-        b0_guess = ((1.0 + getattr(model, "sigma", 1.0)) * energy / model.c) ** (
-            1.0 / (2.0 * getattr(model, "sigma", 1.0))) if model.kind == "power" else 1.0
+    def jacobian(b):
+        s = np.maximum(b * b, _S_FLOOR)
+        bs2 = 2.0 * model.beta_second(s) * s
+        jac = lap.copy()
+        jac[2] += energy - model.beta_prime(s) - bs2
+        return jac, bs2, s
 
-    lo, hi = None, None
-    b0 = b0_guess
-    for _ in range(60):
-        _, crossed, turned = _shoot_once(model, energy, dim, b0, r_max)
-        if crossed:
-            hi = b0
-            b0 *= 0.7
+    for amp, k in itertools.product((1.0, 2.0), (2.0, 1.0, 0.5, 0.25)):
+        y = w * amp * math.sqrt(2.0 * energy / model.c) * _sech(k * math.sqrt(energy) * r[live])
+        for _ in range(40):
+            jac, bs2, _ = jacobian(y / w)
+            y, y_prev = solve_banded((2, 2), jac, -bs2 * y, check_finite=False), y
+            if np.max(np.abs(y - y_prev)) <= _NEWTON_TOL * np.max(np.abs(y)):
+                break
         else:
-            lo = b0
-            b0 *= 1.5
-        if lo is not None and hi is not None:
-            break
-    if lo is None or hi is None:
-        raise GroundStateError("could not bracket the ground-state amplitude")
+            continue
+        y = y if y[np.argmax(np.abs(y))] > 0 else -y
+        b = y / w
+        if not (model.beta_prime(b[0] ** 2) > energy and np.all(np.diff(b) <= 1e-12 * b[0])):
+            continue
+        jac, _, s = jacobian(b)
+        y_E = solve_banded((2, 2), jac, -y)
+        y_EE = solve_banded((2, 2), jac, -2.0 * y_E + (
+            6.0 * model.beta_second(s) + 4.0 * model.beta_third(s) * s) * b * y_E * y_E / w)
+        b, b_E, b_EE = np.zeros((3, n))
+        b[live], b_E[live], b_EE[live] = y / w, y_E / w, y_EE / w
+        _complete_radial(energy, dim, r, b, (b_E, b_EE))
+        prof = GroundStateProfile(energy, dim, r, b, model, b_E=b_E, b_EE=b_EE)
+        prof.residual = profile_residual(prof, model)
+        return prof
+    raise GroundStateError("radial Newton solve did not reach the ground state")
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        _, crossed, turned = _shoot_once(model, energy, dim, mid, r_max)
-        if crossed:
-            hi = mid
-        else:
-            lo = mid
 
-    sol, crossed, _ = _shoot_once(model, energy, dim, lo, r_max)
-    r = np.linspace(0.0, r_max, n)
+def _complete_radial(energy: float, dim: int, r: np.ndarray, b: np.ndarray, derivs=()):
+    """Complete a radial solve's samples of b in place: b(0) in 3D (even:
+    quadratic in r^2 through b(h..4h)), b(r_max) = b(r_max - h) e^{-sqrt(E) h},
+    and below 1e-12 b(0), where the solve is roundoff noise that the
+    log-cubic interpolant would ring on, the tail C e^{-sqrt(E) r} / r^(d-1)
+    from the last sample above; then a 1e-300 floor.  `derivs` (b_E, b_EE)
+    are completed as the E-derivatives of the samples so built."""
     kappa = math.sqrt(energy)
-    r_ok = min(sol.t[-1], r_max)
-    b_num = np.where(r <= r_ok, sol.sol(np.minimum(np.maximum(r, sol.t[0]), r_ok))[0], 0.0)
-    b_num[0] = lo
+    if dim == 3:
+        for y in (b, *derivs):
+            y[0] = np.polyval(np.polyfit(r[1:5] ** 2, y[1:5], 2), 0.0)
 
-    # blend into the analytic tail where the profile has decayed by ~1e-9
-    floor = lo * 1e-9
-    idx = np.where((b_num < floor) | (r > r_ok))[0]
-    r_star = r[idx[0]] if len(idx) else 0.9 * r_max
-    r_star = min(r_star, 0.95 * r_max)
-    i_star = int(np.searchsorted(r, r_star))
-    i_blend = max(1, i_star - n // 20)
-    bs, rs = b_num[i_blend], r[i_blend]
-    tail = bs * np.exp(-kappa * (r - rs)) * (rs / np.maximum(r, rs)) ** (0 if dim == 1 else 1)
-    w = np.clip((r - r[i_blend]) / (r[i_star] - r[i_blend] + 1e-300), 0.0, 1.0)
-    w = 0.5 - 0.5 * np.cos(np.pi * w)
-    b_full = np.where(r <= rs, b_num, (1 - w) * np.where(r <= r_ok, b_num, tail) + w * tail)
-    b_full = np.maximum(b_full, 1e-300)
+    def continue_derivs(k):
+        # past sample k, b_j = b_k t_j with d log t_j / dE = -(r_j - r_k) / (2 sqrt(E))
+        if derivs:
+            b_E, b_EE = derivs
+            t = b[k + 1:] / b[k]
+            a = (r[k + 1:] - r[k]) / (2.0 * kappa)
+            b_EE[k + 1:] = t * (b_EE[k] - 2.0 * a * b_E[k] + a * (a + 0.5 / energy) * b[k])
+            b_E[k + 1:] = t * (b_E[k] - a * b[k])
 
-    prof = GroundStateProfile(energy, dim, r, b_full, model)
-    prof.residual = profile_residual(prof, model)
-    if np.any(np.diff(prof.b) > 1e-12 * prof.b[0]):
-        raise GroundStateError("profile not monotone: node or non-ground state")
-    return prof
+    b[-1] = b[-2] * math.exp(-kappa * (r[1] - r[0]))
+    continue_derivs(len(b) - 2)
+    low = np.flatnonzero(b < 1e-12 * b[0])
+    if len(low):
+        k = low[0] - 1
+        b[k + 1:] = (b[k] * r[k] / r[k + 1:] if dim == 3 else b[k]) * np.exp(
+            -kappa * (r[k + 1:] - r[k]))
+        continue_derivs(k)
+    np.maximum(b, 1e-300, out=b)
 
 
 _ANDERSON_DEPTH = 3
@@ -312,7 +325,6 @@ def petviashvili_ground_state(model: NonlinearityModel, energy: float,
     theta = nu / (nu - 1.0)
 
     r = np.linspace(0.0, r_max, n)
-    h = r[1] - r[0]
     ri = r[1:-1]
     m = len(ri)
     kj = np.pi * np.arange(1, m + 1) / r_max
@@ -356,18 +368,7 @@ def petviashvili_ground_state(model: NonlinearityModel, energy: float,
 
     b = np.empty(n)
     b[1:-1] = u / ri
-    # b is even: quadratic in r^2 through the first interior samples
-    coef = np.polyfit(ri[:4] ** 2, b[1:5], 2)
-    b[0] = np.polyval(coef, 0.0)
-    b[-1] = b[-2] * math.exp(-math.sqrt(energy) * h)
-    # below 1e-12 b(0) the iterate is roundoff noise, which the log-cubic
-    # interpolant would ring on: continue along the decaying tail
-    # C e^{-sqrt(E) r} / r, matched at the last sample above that floor
-    low = np.flatnonzero(b < 1e-12 * b[0])
-    if len(low):
-        k = low[0] - 1
-        b[k + 1:] = b[k] * r[k] / r[k + 1:] * np.exp(-math.sqrt(energy) * (r[k + 1:] - r[k]))
-    b = np.maximum(b, 1e-300)
+    _complete_radial(energy, 3, r, b)
     r.flags.writeable = b.flags.writeable = False
     prof = GroundStateProfile(energy, 3, r, b, model)
     prof.residual = profile_residual(prof, model)
@@ -391,7 +392,7 @@ def solve_ground_state(model: NonlinearityModel, energy: float, dim: int = 1,
     elif model.kind == "power" and dim == 3:
         prof = petviashvili_ground_state(model, energy, r_max=r_max, n=n)
     else:
-        prof = shoot_ground_state(model, energy, dim, r_max=r_max, n=n)
+        prof = newton_ground_state(model, energy, dim, r_max=r_max, n=n)
     if not np.isfinite(prof.residual) or prof.residual > residual_tol:
         raise GroundStateError(
             f"ground-state residual {prof.residual:.3e} above {residual_tol:.1e}")
@@ -406,23 +407,14 @@ def solve_ground_state(model: NonlinearityModel, energy: float, dim: int = 1,
 class MassCurve:
     energies: np.ndarray
     masses: np.ndarray
-    slopes: np.ndarray            # dm/dE: the power law, or centred differences (saturable)
+    slopes: np.ndarray            # dm/dE: the power law, or each solve's exact slope (saturable)
     monotone: bool
 
     def __post_init__(self):
         self._interp = PchipInterpolator(self.energies, self.masses)
-        self._slope = self._interp.derivative()
-        self._curvature = self._interp.derivative(2)
 
     def mass_at(self, energy: float) -> float:
         return float(self._interp(energy))
-
-    def slope_at(self, energy: float) -> float:
-        return float(self._slope(energy))
-
-    def curvature_at(self, energy: float) -> float:
-        """d^2 m/dE^2 of the interpolant (piecewise continuous)."""
-        return float(self._curvature(energy))
 
 
 def mass_curve(model: NonlinearityModel, e_lo: float, e_hi: float,
@@ -431,7 +423,7 @@ def mass_curve(model: NonlinearityModel, e_lo: float, e_hi: float,
     power kind scales the mass of one solve at E = 1 (the family's
     reference), m(E) = m(1) E^(1/sigma - d/2), and takes its slopes from the
     same law, dm/dE = (1/sigma - d/2) m / E; the saturable kind solves at
-    every sample and differences the masses."""
+    every sample and takes each slope from that solve's exact b_E."""
     if n_samples < 3:
         raise GroundStateError("need >= 3 samples")
     es = np.linspace(e_lo, e_hi, n_samples)
@@ -442,9 +434,8 @@ def mass_curve(model: NonlinearityModel, e_lo: float, e_hi: float,
         ms = solve_ground_state(model, 1.0, dim, **solver_kw).mass * es**power
         slopes = power * ms / es
     else:
-        ms = np.array([solve_ground_state(model, float(e), dim, **solver_kw).mass
-                       for e in es])
-        slopes = np.gradient(ms, es, edge_order=2)
+        profs = [solve_ground_state(model, float(e), dim, **solver_kw) for e in es]
+        ms, slopes = np.array([(p.mass, p.mass_derivatives()[0]) for p in profs]).T
     return MassCurve(es, ms, slopes, bool(np.all(slopes > 0)))
 
 
@@ -527,8 +518,10 @@ class SolitonFamily:
 
     `m_ref` is the reference mass m; a parameter vector p shifts the total
     mass to m + p4/2.  A power family scales its reference profile B (the
-    closed form in 1D, one solve in 3D); a saturable family reads E(m) off
-    the mass curve `curve`, which a power family ignores.
+    closed form in 1D, one solve in 3D); a saturable family takes the mass
+    curve `curve`'s estimate of E(m), which a power family ignores, and
+    polishes it by Newton on the solved m(E), whose exact slope also gives
+    E'(m) = 1/m'(E) and E''(m) = -m''(E)/m'(E)^3.
     """
 
     def __init__(self, model: NonlinearityModel, dim: int, m_ref: float,
@@ -571,12 +564,19 @@ class SolitonFamily:
             raise GroundStateError("total mass must be positive")
         if self._power:
             return (mtot / self._K) ** (1.0 / self._expo)
-        return energy_of_mass(self.curve, mtot)
+        energy = energy_of_mass(self.curve, mtot)
+        for _ in range(8):
+            prof = self.profile(energy)
+            miss = prof.mass - mtot
+            if abs(miss) <= 1e-13 * mtot:
+                return energy
+            energy -= miss / prof.mass_derivatives()[0]
+        raise GroundStateError(f"Newton on m(E) = {mtot} did not converge")
 
     def mass_of_energy(self, energy: float) -> float:
         if self._power:
             return self._K * energy**self._expo
-        return self.curve.mass_at(energy)
+        return self.profile(energy).mass
 
     def dE_dm(self, mtot: float) -> float:
         return self._mass_derivatives(self.energy_of_mass(mtot), mtot)[0]
@@ -586,7 +586,7 @@ class SolitonFamily:
         if self._power:
             alpha = 1.0 / self._expo                 # E = (m/K)^alpha
             return alpha * energy / mtot, alpha * (alpha - 1.0) * energy / mtot**2
-        s1, s2 = self.curve.slope_at(energy), self.curve.curvature_at(energy)
+        s1, s2 = self.profile(energy).mass_derivatives()
         return 1.0 / s1, -s2 / s1**3
 
     def profile(self, energy: float) -> GroundStateProfile:
@@ -629,11 +629,10 @@ class SolitonFamily:
 
         With g = d log b/dE, b_E = b g and b_EE = b (g^2 + g').  For the power
         kind g follows from the scaling law and (log B)', (log B)'' at
-        rho = sqrt(E) r.  For the saturable kind the log-profiles at E, E +- h
-        and E +- h/2 (h = 1e-4 E) are differenced on their own radial grid,
-        g by one Richardson step and g' at step h, and each is sampled once;
-        the profile's interpolant is linear in log b, so these are the
-        E-derivatives of profile_on_grid."""
+        rho = sqrt(E) r.  For the saturable kind g = b_E / b and
+        g' = b_EE / b - g^2 come from the solve's exact derivatives on its
+        radial grid, and each is sampled once; the profile's interpolant is
+        linear in log b, so these are the E-derivatives of profile_on_grid."""
         r = grid.radius
         if self._power:
             sg, rt = self.model.sigma, math.sqrt(energy)
@@ -642,13 +641,10 @@ class SolitonFamily:
             dg = (-1.0 / (2.0 * sg * energy**2) + r**2 * d2 / (4.0 * energy)
                   - r * d1 / (4.0 * energy * rt))
         else:
-            hE = 1e-4 * energy
-            lb = {s: np.log(self.profile(energy + s * hE).b)
-                  for s in (-1.0, -0.5, 0.0, 0.5, 1.0)}
-            g = (8.0 * (lb[0.5] - lb[-0.5]) - (lb[1.0] - lb[-1.0])) / (6.0 * hE)
-            dg = (lb[1.0] - 2.0 * lb[0.0] + lb[-1.0]) / hE**2
-            r_prof = self.profile(energy).r
-            g, dg = _RadialSpline(r_prof, g)(r), _RadialSpline(r_prof, dg)(r)
+            prof = self.profile(energy)
+            g = prof.b_E / prof.b
+            dg = prof.b_EE / prof.b - g * g
+            g, dg = _RadialSpline(prof.r, g)(r), _RadialSpline(prof.r, dg)(r)
         b_E = b * g
         return b_E, b_E * g + b * dg
 

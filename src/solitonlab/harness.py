@@ -68,8 +68,9 @@ class SweepResult:
 
 
 def make_family(cfg: SimulationConfig) -> SolitonFamily:
-    """The run's soliton family.  Only the saturable kind needs a mass curve:
-    a power family scales one reference profile."""
+    """The run's soliton family.  Only the saturable kind builds a mass
+    curve, the first estimate of E(m) that its family polishes by Newton on
+    the solved m(E); a power family scales one reference profile."""
     curve = None
     if cfg.model.kind != "power":
         curve = mass_curve(cfg.model, 0.5 * cfg.reference_energy,

@@ -90,6 +90,12 @@ class NonlinearityModel:
             return out
         return self.c / (1.0 + s) ** 2
 
+    def beta_third(self, s):
+        s = np.asarray(s, dtype=float)
+        if self.kind == "power":
+            return self.c * self.sigma * (self.sigma - 1.0) * s ** (self.sigma - 2.0)
+        return -2.0 * self.c / (1.0 + s) ** 3
+
 
 @dataclass(frozen=True)
 class PotentialTerm:
@@ -238,9 +244,6 @@ def validate_config(cfg: SimulationConfig) -> SimulationConfig:
         errors.append("potential axis not an axis of the grid")
     if cfg.perturb_amplitude < 0:
         errors.append("perturb_amplitude negative")
-    if cfg.model.kind == "power" and cfg.dim == 3 and cfg.model.sigma >= 2.0 / 3.0:
-        # not an error: mass-curve slope turns negative for these exponents
-        pass
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -227,19 +227,14 @@ def eigen_report(ops: LinearizationOperators, kernel_tol: float = 1e-4,
 
 
 def check_h2_h3_h5(model: NonlinearityModel, energy: float, dim: int = 1,
-                   n: int = 2048, r_max: float = 40.0, slope_step: float = 2e-3,
-                   **report_kw) -> dict:
+                   n: int = 2048, r_max: float = 40.0, **report_kw) -> dict:
     """Mass-curve slope at E, kernel structure, internal-mode scan: one verdict.
 
     The power kind's slope is the scaling law's, (1/sigma - d/2) m / E; the
-    saturable kind's is a centred difference of solves at E (1 +- slope_step)."""
+    saturable kind's is the solve's own, from its exact b_E."""
     prof = solve_ground_state(model, energy, dim, r_max=r_max)
-    if model.kind == "power":
-        dm_dE = (1.0 / model.sigma - dim / 2.0) * prof.mass / energy
-    else:
-        m_lo, m_hi = (solve_ground_state(model, energy * (1 + s), dim, r_max=r_max).mass
-                      for s in (-slope_step, slope_step))
-        dm_dE = (m_hi - m_lo) / (2.0 * slope_step * energy)
+    dm_dE = ((1.0 / model.sigma - dim / 2.0) * prof.mass / energy if model.kind == "power"
+             else prof.mass_derivatives()[0])
     ops = build_operators(prof, model, n=n, r_max=r_max)
     rep = eigen_report(ops, **report_kw)
     out = {

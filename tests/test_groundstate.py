@@ -9,8 +9,8 @@ from solitonlab.field import Grid, momenta
 from solitonlab.groundstate import (GroundStateError, GroundStateProfile,
                                     SolitonFamily, SolitonParameters, check_h2,
                                     energy_of_mass, mass_curve, mass_of,
-                                    petviashvili_ground_state,
-                                    shoot_ground_state, solve_ground_state)
+                                    newton_ground_state, petviashvili_ground_state,
+                                    solve_ground_state)
 from solitonlab.model import NonlinearityModel
 
 SQRT_MODEL = NonlinearityModel("power", sigma=0.5, c=1.0)
@@ -68,8 +68,8 @@ def test_scaling_law_power_1d(cubic):
     assert np.max(np.abs(pe(x) - math.sqrt(e) * p1(math.sqrt(e) * x))) < 1e-10
 
 
-def test_shooting_agrees_with_closed_form(cubic):
-    prof = shoot_ground_state(cubic, 1.0, dim=1, r_max=25.0, n=1024)
+def test_newton_agrees_with_closed_form(cubic):
+    prof = newton_ground_state(cubic, 1.0, dim=1, r_max=25.0, n=1024)
     x = np.linspace(0, 10, 100)
     assert np.max(np.abs(prof(x) - 1.0 / np.cosh(x))) < 1e-7
 
@@ -87,19 +87,19 @@ def test_3d_petviashvili_residual(prof3):
     assert np.all(np.diff(prof3.b) <= 1e-12 * prof3.b[0])
 
 
-def test_3d_shooting_cross_check(prof3):
-    shot = shoot_ground_state(SQRT_MODEL, 1.0, dim=3, r_max=30.0, n=1536)
+def test_3d_newton_cross_check(prof3):
+    solved = newton_ground_state(SQRT_MODEL, 1.0, dim=3, r_max=30.0, n=1536)
     r = np.linspace(0.0, 12.0, 120)
-    assert np.max(np.abs(shot(r) - prof3(r))) < 1e-5 * prof3.b[0]
+    assert np.max(np.abs(solved(r) - prof3(r))) < 1e-5 * prof3.b[0]
 
 
 def test_3d_two_direction_shooting_match(prof3):
-    """Outward (from the bisected amplitude) and inward (from the asymptotic
-    tail) integrations meet at mid-radius with matching log-derivative, and
-    both agree with the production profile there."""
+    """Outward (from the radial Newton solve's b(0)) and inward (from the
+    asymptotic tail) integrations meet at mid-radius with matching
+    log-derivative, and both agree with the production profile there."""
     E = prof3.energy
     model = prof3.model
-    shot = shoot_ground_state(model, E, dim=3, r_max=30.0, n=1536)
+    solved = newton_ground_state(model, E, dim=3, r_max=30.0, n=1536)
 
     def rhs(r, y):
         b, bp = y
@@ -107,20 +107,20 @@ def test_3d_two_direction_shooting_match(prof3):
 
     r_mid, r_far = 6.0, 20.0
     r0 = 1e-8
-    b0 = shot.b[0]
+    b0 = solved.b[0]
     bpp0 = (E * b0 - model.beta_prime(b0 * b0) * b0) / 3.0
     out = solve_ivp(rhs, (r0, r_mid), [b0 + 0.5 * bpp0 * r0**2, bpp0 * r0],
                     rtol=1e-12, atol=1e-14, dense_output=True, method="DOP853")
     # inward: seed on the asymptotic tail C e^{-sqrt(E) r}/r
     k = math.sqrt(E)
-    c_tail = shot(r_far) * r_far * math.exp(k * r_far)
+    c_tail = solved(r_far) * r_far * math.exp(k * r_far)
     b_far = c_tail * math.exp(-k * r_far) / r_far
     bp_far = c_tail * math.exp(-k * r_far) * (-k / r_far - 1.0 / r_far**2)
     inw = solve_ivp(rhs, (r_far, r_mid), [b_far, bp_far], rtol=1e-12, atol=1e-16,
                     dense_output=True, method="DOP853")
     b_o, bp_o = out.sol(r_mid)
     b_i, bp_i = inw.sol(r_mid)
-    assert b_o == pytest.approx(shot(r_mid), rel=1e-4)
+    assert b_o == pytest.approx(solved(r_mid), rel=1e-4)
     assert bp_o / b_o == pytest.approx(bp_i / b_i, rel=1e-3)
     assert prof3(r_mid) == pytest.approx(b_o, rel=1e-4)
 
@@ -184,9 +184,9 @@ def test_3d_cached_profile_is_shared_read_only(cubic):
             solve_ground_state(cubic, 1.0, dim=3, r_max=25.0, n=1024)
 
 
-def test_saturable_shooting():
+def test_saturable_newton():
     m = NonlinearityModel("saturable", c=3.0)
-    prof = shoot_ground_state(m, 1.0, dim=1, r_max=30.0, n=1024)
+    prof = newton_ground_state(m, 1.0, dim=1, r_max=30.0, n=1024)
     assert prof.residual < 1e-6
     assert np.all(np.diff(prof.b) <= 1e-12 * prof.b[0])
 
@@ -194,14 +194,46 @@ def test_saturable_shooting():
 def test_saturable_needs_energy_below_c():
     m = NonlinearityModel("saturable", c=1.0)
     with pytest.raises(GroundStateError):
-        shoot_ground_state(m, 1.5, dim=1)
+        newton_ground_state(m, 1.5, dim=1)
 
 
-def test_saturable_shooting_3d():
+def test_saturable_newton_3d():
     m = NonlinearityModel("saturable", c=3.0)
-    prof = shoot_ground_state(m, 1.0, dim=3, r_max=25.0, n=1024)
+    prof = newton_ground_state(m, 1.0, dim=3, r_max=25.0, n=1024)
     assert prof.residual < 1e-6
     assert np.all(np.diff(prof.b) <= 1e-12 * prof.b[0])
+
+
+# b(0) from an independent method, shooting with bisection on b(0) (DOP853 at
+# rtol 1e-12), at the default r_max = 40, n = 2048
+SHOT_B0 = {
+    (1.0, 1, 0.05): 0.32722819134711584, (1.0, 1, 0.3): 0.9823234795496003,
+    (1.0, 1, 0.7): 2.623336458621857, (1.0, 1, 0.9): 6.012445781115442,
+    (1.0, 1, 0.99): 25.44523605625333, (1.0, 3, 0.05): 0.89910054921891,
+    (1.0, 3, 0.3): 2.4651049131022233, (1.0, 3, 0.7): 6.763769537540424,
+    (1.0, 3, 0.9): 16.30327663855082, (1.0, 3, 0.99): 73.42455769038902,
+    (3.0, 1, 0.05): 0.3272281402131786, (3.0, 1, 0.3): 0.9823234795496036,
+    (3.0, 1, 0.7): 2.623336458621793, (3.0, 1, 0.9): 6.012445781115136,
+    (3.0, 1, 0.99): 25.445236056257407, (3.0, 3, 0.05): 0.8991003690370477,
+    (3.0, 3, 0.3): 2.465104913102305, (3.0, 3, 0.7): 6.76376953754014,
+    (3.0, 3, 0.9): 16.30327663855018, (3.0, 3, 0.99): 73.42447915722624,
+}
+
+
+@pytest.mark.parametrize("c, dim, frac", sorted(SHOT_B0), ids=lambda v: f"{v:g}")
+def test_saturable_newton_coverage(c, dim, frac):
+    # the ground state from every cold start, with b_E and m'(E) the
+    # derivatives of the profile and mass as built (tail included); the
+    # E-derivatives grow towards either end of 0 < E < c, so the centred
+    # differences step by 1e-4 of the distance to the nearer end
+    model, E = NonlinearityModel("saturable", c=c), frac * c
+    prof = newton_ground_state(model, E, dim)
+    assert prof.b[0] == pytest.approx(SHOT_B0[c, dim, frac], rel=1e-7)
+    hE = 1e-4 * min(E, c - E)
+    up, dn = newton_ground_state(model, E + hE, dim), newton_ground_state(model, E - hE, dim)
+    fd = (up.b - dn.b) / (2 * hE)
+    assert np.max(np.abs(prof.b_E - fd)) < 1e-6 * np.max(np.abs(prof.b_E))
+    assert prof.mass_derivatives()[0] == pytest.approx((up.mass - dn.mass) / (2 * hE), rel=1e-6)
 
 
 # -- mass curve --------------------------------------------------------------------
@@ -428,6 +460,22 @@ def test_tangent_derivatives_match_finite_differences(family, grid512):
         for l in tg.active:
             fd = (up.t[l] - dn.t[l]) / (2 * h)
             assert np.max(np.abs(tg.dt(l, k) - fd)) < 1e-9 * np.max(np.abs(fd)), (l, k)
+
+
+@pytest.mark.parametrize("p", [(0.0, 0, 0, 0.0), (0.2, 0, 0, 0.1)], ids=["rest", "boosted"])
+def test_saturable_tangent_dt44_matches_finite_differences(p, grid512):
+    # d t_4 / d p_4 carries b_EE and E''(m), which must be the exact
+    # E-derivatives of the profile and the mass as built, tail included
+    model = NonlinearityModel("saturable", c=3.0)
+    fam = SolitonFamily(model, 1, m_ref=1.0, curve=mass_curve(model, 0.5, 1.5, 9))
+    fam.m_ref = fam.mass_of_energy(1.0)
+    p, h = np.array(p), 1e-4
+    want = fam.tangents(p, grid512).dt(3, 3)
+    up, dn = p.copy(), p.copy()
+    up[3] += h
+    dn[3] -= h
+    fd = (fam.tangents(up, grid512).t[3] - fam.tangents(dn, grid512).t[3]) / (2 * h)
+    assert np.max(np.abs(want - fd)) <= 1e-6 * np.max(np.abs(want))
 
 
 def test_lambda_multipliers(family):

@@ -412,6 +412,20 @@ def test_warm_start_shorter_last_gap():
     assert np.all(rec.rows["newton_iters"][2:] == 0)
 
 
+def test_saturable_free_run():
+    # the free_run set-up with a saturable nonlinearity (c = 3): every sample
+    # is extracted, and q drifts at the family's free rates p/m and E + v^2/4
+    cfg = replace(_free_run_cfg(), model=NonlinearityModel("saturable", c=3.0))
+    rec = scenario_run(cfg)
+    rows = rec.rows
+    assert not rec.summary["partial"] and rec.summary["error"] is None
+    assert len(rows["t"]) == 101
+    rates = make_family(cfg).coordinate_rates(cfg.p_init)
+    for k, j in (("q1", 0), ("q4", 3)):
+        assert abs(np.polyfit(rows["t"], rows[k], 1)[0] - rates[j]) <= 1e-6, k
+    assert rec.summary["max_phi_h1"] <= 1e-6
+
+
 def test_run_timing(free_run):
     # the layers are disjoint and leave out only the per-sample bookkeeping
     # and the summary: within 10 % of the run's wall time

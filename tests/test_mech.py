@@ -72,7 +72,7 @@ def test_veff_matches_direct_quadrature(family, grid512, rng):
 
 
 def test_veff_saturable_family_matches_grid_sum():
-    # a saturable family (c = 3, E = 1, its profile from the shooting solver):
+    # a saturable family (c = 3, E = 1, its profile from the radial Newton solve):
     # V^eff and its gradient at every node of the N = 512 sweep grid against
     # the field-grid sums cell * sum V(x + q) b^2 and cell * sum V'(x + q) b^2
     cfg = SimulationConfig(model=NonlinearityModel("saturable", c=3.0), dim=1,
