@@ -177,7 +177,10 @@ class Stepper:
         self.model = model
         self.epsV = (None if eps == 0.0 or V is None
                      else eps * np.broadcast_to(V, grid.n))
-        self.lin_half = np.exp(0.5j * dt * grid.k2)
+        theta = (0.5 * dt) * grid.k2        # exp(i theta) from its real angle
+        self.lin_half = np.empty(theta.shape, complex)
+        np.cos(theta, out=self.lin_half.real)
+        np.sin(theta, out=self.lin_half.imag)
         self.lin_full = self.lin_half**2
         self._axes = tuple(range(grid.dim))
         self._max0 = None

@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.linalg import solve_banded
 
 from .field import FieldState, Grid, apply_symmetry
 from .model import NonlinearityModel
+from .spline import cubic_spline, pchip
 
 __all__ = [
     "GroundStateError", "GroundStateProfile", "MassCurve", "SolitonParameters",
@@ -120,7 +120,7 @@ class _RadialSpline:
     Linear in y, so it commutes with differences of y."""
 
     def __init__(self, r: np.ndarray, y: np.ndarray):
-        self._spline = CubicSpline(r, y, bc_type=((1, 0.0), "not-a-knot"))
+        self._spline = cubic_spline(r, y, d0=0.0)
         k = max(2, len(r) // 10)
         self._r_end, self._y_end = r[-1], y[-1]
         self._slope = (y[-1] - y[-1 - k]) / (r[-1] - r[-1 - k])
@@ -405,13 +405,15 @@ def solve_ground_state(model: NonlinearityModel, energy: float, dim: int = 1,
 
 @dataclass
 class MassCurve:
+    """m(E) sampled at `energies`, and `mass_at` its PCHIP interpolant
+    (`spline.pchip`: monotone between monotone samples)."""
     energies: np.ndarray
     masses: np.ndarray
     slopes: np.ndarray            # dm/dE: the power law, or each solve's exact slope (saturable)
     monotone: bool
 
     def __post_init__(self):
-        self._interp = PchipInterpolator(self.energies, self.masses)
+        self._interp = pchip(self.energies, self.masses)
 
     def mass_at(self, energy: float) -> float:
         return float(self._interp(energy))
@@ -453,15 +455,16 @@ def check_h2(curve: MassCurve):
 
 def energy_of_mass(curve: MassCurve, m: float) -> float:
     """Invert the (monotone) mass curve: the one root of m(E) = m on the
-    interpolant, a piecewise cubic.  The root finder drops a root that
-    rounding puts just past an end of the range, so the two end energies
-    are candidates too; the candidate the interpolant maps nearest to m wins."""
+    PCHIP interpolant, from the closed-form cubic roots of its pieces
+    (`PiecewisePoly.solve`).  The root finder drops a root that rounding puts
+    just past an end of the range, so the two end energies are candidates
+    too; the candidate the interpolant maps nearest to m wins."""
     if not curve.monotone:
         raise GroundStateError("mass curve is not monotone: cannot invert")
     m_lo, m_hi = curve.masses[0], curve.masses[-1]
     if not (min(m_lo, m_hi) <= m <= max(m_lo, m_hi)):
         raise GroundStateError(f"mass {m} outside curve range [{m_lo}, {m_hi}]")
-    es = np.append(curve._interp.solve(m, extrapolate=False), curve.energies[[0, -1]])
+    es = np.append(curve._interp.solve(m), curve.energies[[0, -1]])
     return float(es[np.argmin(np.abs(curve._interp(es) - m))])
 
 
@@ -565,11 +568,18 @@ class SolitonFamily:
         if self._power:
             return (mtot / self._K) ** (1.0 / self._expo)
         energy = energy_of_mass(self.curve, mtot)
+        tried = {}
         for _ in range(8):
             prof = self.profile(energy)
             miss = prof.mass - mtot
             if abs(miss) <= 1e-13 * mtot:
                 return energy
+            # the solved mass is noisy at ~1e-13: a step back onto a cached
+            # profile would cycle, so the best energy tried is the answer
+            key = round(float(energy), 14)
+            if key in tried:
+                return min(tried.values())[1]
+            tried[key] = (abs(miss), energy)
             energy -= miss / prof.mass_derivatives()[0]
         raise GroundStateError(f"Newton on m(E) = {mtot} did not converge")
 
@@ -660,7 +670,10 @@ class SolitonFamily:
         E = self.energy_of_mass(mt)
         b = self.profile_on_grid(E, grid)
         phase = sum(p[j] * grid.x[j] for j in range(self.dim)) / (2.0 * mt)
-        return np.exp(-1j * phase), b, E, mt
+        u = np.empty(np.shape(phase), complex)   # exp(-i phase) from its real angle
+        np.cos(phase, out=u.real)
+        np.sin(-phase, out=u.imag)
+        return u, b, E, mt
 
     def build_centered(self, p, grid: Grid):
         """eta_p (at q = 0) and its ingredients."""

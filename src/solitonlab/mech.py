@@ -7,7 +7,10 @@ that does not divide by D.  Trapezoid rules over b = b_E, spectrally accurate
 for these even integrands, give V^eff and dV^eff/dq (differentiated under the
 integral) at the nodes of the line through the box centre along the symmetry
 axis.  The leapfrog's force, the exact derivative of the cubic spline through
-those values, keeps its energy errors bounded.  H_mech = p^2/(2m) + eps V^eff(q).
+those values (`spline.cubic_spline`, scipy's not-a-knot `CubicSpline` bit for
+bit), keeps its energy errors bounded.  H_mech = p^2/(2m) + eps V^eff(q).
+Critical values come from the closed-form roots of the spline's derivative,
+a quadratic on each piece.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import exprel, ive
 
 from .field import Grid
 from .groundstate import SolitonFamily
 from .model import PotentialModel
+from .spline import cubic_spline
 
 __all__ = [
     "EffectivePotential", "MechState", "MechOrbit",
@@ -33,30 +36,6 @@ __all__ = [
 
 class MechError(RuntimeError):
     pass
-
-
-class _UniformCubic:
-    """Scalar-fast evaluation of a CubicSpline built on uniform knots."""
-
-    def __init__(self, spline: CubicSpline):
-        self.x0 = float(spline.x[0])
-        self.h = float(spline.x[1] - spline.x[0])
-        self.c = spline.c                    # (4, n-1)
-        self.n_seg = self.c.shape[1]
-
-    def __call__(self, q: float) -> float:
-        j = int((q - self.x0) / self.h)
-        j = 0 if j < 0 else (self.n_seg - 1 if j >= self.n_seg else j)
-        t = q - (self.x0 + j * self.h)
-        c = self.c
-        return ((c[0, j] * t + c[1, j]) * t + c[2, j]) * t + c[3, j]
-
-    def deriv(self, q: float) -> float:
-        j = int((q - self.x0) / self.h)
-        j = 0 if j < 0 else (self.n_seg - 1 if j >= self.n_seg else j)
-        t = q - (self.x0 + j * self.h)
-        c = self.c
-        return (3.0 * c[0, j] * t + 2.0 * c[1, j]) * t + c[2, j]
 
 
 @dataclass
@@ -70,9 +49,8 @@ class EffectivePotential:
     axis: int = 0
 
     def __post_init__(self):
-        self._spline = CubicSpline(self.grid.axes[0], self.values)
+        self._spline = cubic_spline(self.grid.axes[0], self.values)
         self._dspline = self._spline.derivative()
-        self._fast = _UniformCubic(self._spline)
 
     def value_at(self, q) -> float:
         """V^eff at the axial coordinate q (a scalar or a length-1 array)."""
@@ -80,7 +58,7 @@ class EffectivePotential:
         a = self.grid.axes[0]
         if not a[0] <= q <= a[-1]:
             raise MechError(f"q={q:.4g} outside interpolation range")
-        return self._fast(float(q))
+        return self._spline.value_uniform(float(q))
 
 
 def build_effective_potential(potential: PotentialModel, family: SolitonFamily,
@@ -192,18 +170,18 @@ def mech_run(state0: MechState, m: float, eps: float, veff: EffectivePotential,
     to t_final, as a scalar loop on raw floats (the spline calls dominate
     otherwise)."""
     n = int(round(t_final / dt))
-    fast = veff._fast
+    force = veff._spline.slope_uniform
     lo, hi = veff.grid.axes[0][0], veff.grid.axes[0][-1]
     p, q, t = float(state0.p[0]), float(state0.q[0]), state0.t
     ts, ps, qs = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     ts[0], ps[0], qs[0] = t, p, q
     half = 0.5 * dt * eps
     for i in range(1, n + 1):
-        p -= half * fast.deriv(q)
+        p -= half * force(q)
         q += dt * p / m
         if not lo <= q <= hi:
             raise MechError(f"q={q:.4g} left the interpolation range")
-        p -= half * fast.deriv(q)
+        p -= half * force(q)
         t += dt
         ts[i], ps[i], qs[i] = t, p, q
     es = ps**2 / (2.0 * m) + eps * veff._spline(qs)
@@ -232,9 +210,10 @@ def orbit_distance(point: MechState, orbit: MechOrbit) -> float:
 
 def critical_values(veff: EffectivePotential) -> np.ndarray:
     """Critical values of V^eff on the axis: V^eff at every root of the
-    spline's V^eff' plus the value at infinity (0 for decaying potentials).
-    A piece where V^eff' vanishes identically has NaN for its root."""
-    q = veff._dspline.roots(extrapolate=False)
+    spline's V^eff' (closed forms, a quadratic per piece) plus the value at
+    infinity (0 for decaying potentials).  A piece where V^eff' vanishes
+    identically gives its start and a NaN, and the NaN is dropped."""
+    q = veff._dspline.roots()
     vals = np.concatenate([[0.0], veff._spline(q[~np.isnan(q)])])
     return np.unique(np.round(vals, 12))
 

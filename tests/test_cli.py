@@ -1,11 +1,13 @@
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import solitonlab
 import solitonlab.cli as cli
 from solitonlab.cli import main
 from solitonlab.evolve import BlowupError
@@ -299,8 +301,28 @@ def test_cli_programming_error_propagates(cfg_file, monkeypatch, exc):
         main(["--config", str(cfg_file()), "groundstate"])
 
 
+def _subprocess_env():
+    """The environment with this solitonlab first on PYTHONPATH: a child
+    interpreter does not see pytest's `pythonpath` setting."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solitonlab.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_cli_entry_point_runs(cfg_file):
     proc = subprocess.run(
         [sys.executable, "-m", "solitonlab.cli", "--config", str(cfg_file()),
-         "groundstate"], capture_output=True, text=True)
+         "groundstate"], capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0
+
+
+def test_import_loads_no_interpolate_stack():
+    # scipy.interpolate brings scipy.sparse, scipy.spatial and scipy.optimize,
+    # some 18 MB of resident memory in every process
+    code = ("import sys, solitonlab, solitonlab.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.sparse', "
+            "'scipy.spatial', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -426,6 +426,18 @@ def test_saturable_free_run():
     assert rec.summary["max_phi_h1"] <= 1e-6
 
 
+def test_saturable_energy_of_mass_at_noise_floor():
+    # masses a few ulps apart next to the curve's knot E = 0.75: the solved
+    # mass is noisy at the 1e-13 tolerance, so a Newton step can return to a
+    # cached profile, and that must not cycle until "did not converge"
+    family = make_family(replace(_free_run_cfg(),
+                                 model=NonlinearityModel("saturable", c=3.0)))
+    m0 = family.curve.masses[4]
+    for m in m0 + np.arange(400) * 7.3e-15:
+        E = family.energy_of_mass(m)
+        assert abs(family.profile(E).mass - m) <= 2e-13 * m
+
+
 def test_run_timing(free_run):
     # the layers are disjoint and leave out only the per-sample bookkeeping
     # and the summary: within 10 % of the run's wall time

@@ -47,7 +47,7 @@ def test_veff_center_value_quadrature_oracle(well_veff):
 def test_veff_bound_and_symmetry(well_veff):
     # |V^eff| <= 2m max|V| and grad V^eff(0) = 0 for even V
     assert np.max(np.abs(well_veff.values)) <= 2.0 * 1.0 + 1e-12
-    assert abs(well_veff._fast.deriv(0.0)) < 1e-10
+    assert abs(well_veff._spline.slope_uniform(0.0)) < 1e-10
 
 
 def test_veff_matches_direct_quadrature(family, grid512, rng):
@@ -93,7 +93,7 @@ def test_veff_gradient_consistent_with_values(well_veff, rng):
     d = 1e-3
     for q in rng.uniform(-20, 20, size=100):
         fd = (well_veff.value_at([q + d]) - well_veff.value_at([q - d])) / (2 * d)
-        assert abs(fd - well_veff._fast.deriv(q)) < 1e-7
+        assert abs(fd - well_veff._spline.slope_uniform(q)) < 1e-7
 
 
 def test_mech_energy_forms(well_veff):
@@ -188,7 +188,7 @@ def test_orbit_distance_is_level_set_distance(well_veff):
     # (0, q0) the dual weighted norm of grad H_mech = (0, eps V^eff'(q0)) is
     # sqrt(eps) |V^eff'(q0)|.  A drift dH ~ eps^(3/2) therefore gives d ~ eps.
     q0, delta = 3.0, 1e-3
-    slope = well_veff._fast.deriv(q0)
+    slope = well_veff._spline.slope_uniform(q0)
     assert slope > 0.1                                   # off a critical point
     for eps in (1e-2, 1e-3):
         t_final = 5.0 / eps
