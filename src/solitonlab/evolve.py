@@ -27,6 +27,15 @@ precomputed; exp(i phase) goes into one complex buffer as cos and sin.  In
 1D this is bit for bit the arithmetic of numpy.fft.fftn and np.exp; in 3D it
 agrees with it to roundoff.
 
+The 1D loop (`_block`) makes only the substeps' calls: per step the two
+`c2c` transforms and the multiplier, then the nonlinear substep, a closure
+built once per Stepper by `_phase_substep` over its buffers and the
+prebuilt real and imaginary views of its rotation buffer.  The ufuncs are
+bound to locals, their outputs are positional, and nothing is looked up on
+the Stepper inside the loop.  The threaded 3D kernel builds the same closure
+over each thread's slab of the buffers, so both kernels share one
+definition of the phase.
+
 Threads: a 3D field is stepped on every CPU the process may use (n threads,
 at most the shortest axis).  The threaded kernel makes the transforms' axis
 passes itself, one `c2c` call per thread and group of passes, on the
@@ -70,6 +79,8 @@ keeps the exp(i theta) arithmetic.
 from __future__ import annotations
 
 import logging
+import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -109,10 +120,10 @@ def hamiltonian(psi: FieldState, model: NonlinearityModel,
                 V: np.ndarray | None, eps: float) -> float:
     """H = ∫|grad psi|^2 - ∫beta(|psi|^2) + eps ∫V |psi|^2 (gradient spectral)."""
     g = psi.grid
-    kin = g.cell / g.size * np.sum(g.k2 * np.abs(psi.spectrum) ** 2)
-    s = np.abs(psi.values) ** 2
-    pot = -g.cell * np.sum(model.beta(s))
-    ext = eps * g.cell * np.sum(V * s) if (eps != 0.0 and V is not None) else 0.0
+    kin = g.cell / g.size * (g.k2 * psi.power).sum()
+    s = psi.density
+    pot = -g.cell * model.beta(s).sum()
+    ext = eps * g.cell * (V * s).sum() if (eps != 0.0 and V is not None) else 0.0
     return float(kin + pot + ext)
 
 
@@ -187,6 +198,18 @@ class Stepper:
         self._s = np.empty(grid.n)           # |psi|^2, then the phase
         self._rot = np.empty(grid.n, complex)
         self.threads = 1 if grid.dim == 1 else min(_cpu_count(), *grid.n)
+        # beta'(s) = c s^sigma with c >= 1 a power of two: multiplying by c is
+        # exact, so -dt (c s^sigma - eps V) = -c dt (s^sigma - eps V / c) bit
+        # for bit when eps V / c is exact too, and the phase takes one pass
+        # less.  A model class with its own beta_prime is stepped through it.
+        c = model.c
+        self._epsV_c = self.epsV if self.epsV is None or c == 1.0 else self.epsV / c
+        self._fold = (type(model).beta_prime is NonlinearityModel.beta_prime
+                      and model.kind == "power" and c >= 1.0 and math.frexp(c)[0] == 0.5
+                      and (self._epsV_c is self.epsV
+                           or np.array_equal(self._epsV_c * c, self.epsV)))
+        if self.threads == 1:
+            self._nonlinear = self._phase_substep(self._s, self._rot, np.s_[...])
         if self.threads > 1:
             # thread j's slabs for the groups A, B, C (module docstring)
             n0, n1, n2 = grid.n
@@ -196,25 +219,36 @@ class Stepper:
                 _cuts(n0, self.threads)))
             self._inv_n = 1.0 / grid.size
 
-    def _linear(self, vals, mult, out):
-        """ifftn(mult * fftn(vals)); the forward transform writes into `out`
-        (None: a new array, `vals`: in place)."""
-        h = c2c(vals, self._axes, True, 0, out, 1)
-        np.multiply(mult, h, out=h)
-        return c2c(h, self._axes, False, 2, h, 1)
+    def _phase_substep(self, s, rot, part):
+        """The nonlinear substep on the part `part` (an index) of the field,
+        with buffers `s` (float) and `rot` (complex) of that part's shape: a
+        function that multiplies vals, in place, by
+        exp(-i dt (beta'(|vals|^2) - eps V)); `s` holds |vals|^2 and then the
+        phase."""
+        absolute, square, multiply, subtract = np.absolute, np.square, np.multiply, np.subtract
+        cos, sin, model = np.cos, np.sin, self.model
+        re, im = rot.real, rot.imag
+        if self._fold:
+            mdt, sigma = -model.c * self.dt, model.sigma
+            epsV = None if self._epsV_c is None else self._epsV_c[part]
+            beta = None if sigma == 1.0 else (lambda a: operator.ipow(a, sigma))
+        else:
+            mdt, beta = -self.dt, (lambda a: model.beta_prime(a, a))
+            epsV = None if self.epsV is None else self.epsV[part]
 
-    def _nonlinear(self, vals, s, rot, epsV):
-        """vals *= exp(-i dt (beta'(|vals|^2) - eps V)), in place; the float
-        array `s` holds |vals|^2 and then the phase."""
-        np.abs(vals, out=s)
-        np.square(s, out=s)
-        self.model.beta_prime(s, out=s)
-        if epsV is not None:
-            s -= epsV
-        s *= -self.dt
-        np.cos(s, out=rot.real)
-        np.sin(s, out=rot.imag)
-        vals *= rot
+        def nonlinear(vals):
+            absolute(vals, s)
+            square(s, s)
+            if beta is not None:
+                beta(s)
+            if epsV is not None:
+                subtract(s, epsV, s)
+            multiply(s, mdt, s)
+            cos(s, re)
+            sin(s, im)
+            multiply(vals, rot, vals)
+
+        return nonlinear
 
     def _guard(self, vals):
         m = np.max(np.abs(vals))
@@ -238,12 +272,22 @@ class Stepper:
         return vals
 
     def _block(self, vals, n_steps):
-        vals = self._linear(vals, self.lin_half, None)
+        """n_steps fused steps on one thread; the first forward transform
+        copies `vals`, everything after it works in place on the copy."""
+        axes, half, full = self._axes, self.lin_half, self.lin_full
+        nonlinear, multiply = self._nonlinear, np.multiply
+        h = c2c(vals, axes, True, 0, None, 1)
+        multiply(half, h, h)
+        c2c(h, axes, False, 2, h, 1)
         for _ in range(n_steps - 1):
-            self._nonlinear(vals, self._s, self._rot, self.epsV)
-            self._linear(vals, self.lin_full, vals)
-        self._nonlinear(vals, self._s, self._rot, self.epsV)
-        return self._linear(vals, self.lin_half, vals)
+            nonlinear(h)
+            c2c(h, axes, True, 0, h, 1)
+            multiply(full, h, h)
+            c2c(h, axes, False, 2, h, 1)
+        nonlinear(h)
+        c2c(h, axes, True, 0, h, 1)
+        multiply(half, h, h)
+        return c2c(h, axes, False, 2, h, 1)
 
     def _threaded_block(self, vals, n_steps):
         work = np.array(vals, dtype=complex)
@@ -275,8 +319,7 @@ class Stepper:
         buf = np.empty(max(wa.size, wb.size), complex)
         ba, bb = buf[:wa.size].reshape(wa.shape), buf[:wb.size].reshape(wb.shape)
         bb_re = bb.view(float)
-        s, rot = self._s[c], self._rot[c]
-        epsV = None if self.epsV is None else self.epsV[c]
+        nonlinear = self._phase_substep(self._s[c], self._rot[c], c)
         half, full = self.lin_half[b], self.lin_full[b]
         for i in range(n_steps + 1):
             np.copyto(ba, wa)
@@ -292,7 +335,7 @@ class Stepper:
             meet()
             c2c(wc, (1, 2), False, 0, wc, 1)
             if i < n_steps:
-                self._nonlinear(wc, s, rot, epsV)
+                nonlinear(wc)
                 meet()
 
 
@@ -347,7 +390,9 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
                      n_samples, done / (perf_counter() - t_start))
         return stop
 
-    stop = record(0, psi0)
+    # a FieldState of its own: the caller's psi0 does not keep the sample's
+    # density and power (two more field-sized arrays in 3D) past the run
+    stop = record(0, FieldState(grid, psi0.values, psi0.spectrum))
     done = 0
     while done < n_steps and not stop:
         blk = min(cadence, n_steps - done)

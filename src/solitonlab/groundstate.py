@@ -32,11 +32,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
 from scipy.linalg import solve_banded
 
+from . import field as fld
 from .field import FieldState, Grid, apply_symmetry
 from .model import NonlinearityModel
 from .spline import cubic_spline, pchip
@@ -483,22 +485,40 @@ class SolitonParameters:
 @dataclass
 class SolitonTangents:
     """eta_p = u b, with b the profile at E(m~), and its p-derivatives on a
-    grid (the chart's linear data), plus what its second p-derivatives need."""
+    grid (the chart's linear data), plus what its second p-derivatives need.
+
+    The active A_j eta and t_j are the rows of two real blocks `A` and `T`
+    of shape (len(active), 2 size), row a holding index active[a] as
+    interleaved (re, im) pairs.  `A_eta[j]`, `t[j]` (None on inactive axes)
+    and `eta` = A_eta[3] are complex views of those rows, not copies, so the
+    pairings of a field with every active direction are one matrix product
+    with a real view of the field."""
     p: np.ndarray
     mtilde: float                 # m~ = m + p4/2
     energy: float
     grid: Grid
-    eta: np.ndarray               # centered eta_p
+    A: np.ndarray                 # rows A_j eta, j in active (A_4 eta = eta last)
+    T: np.ndarray                 # rows t_j = d eta / d p_j, j in active
     eta_hat: np.ndarray           # fftn(eta)
-    t: list                       # d eta / d p_j, None on inactive axes
-    A_eta: list                   # A_j eta (None on inactive axes); A_4 eta = eta
     active: tuple                 # indices (0-based) of active p components
     u: np.ndarray                 # e^{-i p.x / (2 m~)}
-    b: np.ndarray                 # b, d b/dE, d^2 b/dE^2 at E(m~)
+    b: np.ndarray                 # b and d b/dE at E(m~)
     b_E: np.ndarray
-    b_EE: np.ndarray
+    b_EE_of: object               # () -> d^2 b/dE^2 at E(m~), read as `b_EE`
     dE_dm: float                  # E'(m~), E''(m~)
     d2E_dm2: float
+
+    def __post_init__(self):
+        shape = (len(self.active),) + self.grid.n
+        A, T = self.A.view(complex).reshape(shape), self.T.view(complex).reshape(shape)
+        self.A_eta, self.t = [None] * 4, [None] * 4
+        for a, j in enumerate(self.active):
+            self.A_eta[j], self.t[j] = A[a], T[a]
+        self.eta = self.A_eta[3]
+
+    @cached_property
+    def b_EE(self) -> np.ndarray:
+        return self.b_EE_of()
 
     def dt(self, l: int, k: int) -> np.ndarray:
         """d t_l / d p_k (0-based, active indices; symmetric in l and k)."""
@@ -538,6 +558,8 @@ class SolitonFamily:
         self.n_r = n_r
         self.wrap_tol = wrap_tol
         self._power = model.kind == "power"
+        self._active = tuple(range(dim)) + (3,)
+        self._decayed = {}          # grid -> lowest energy whose profile passed the edge check
         if self._power:
             sg, c = model.sigma, model.c
             self._expo = 1.0 / sg - dim / 2.0
@@ -627,15 +649,30 @@ class SolitonFamily:
         return r, h, self.radial_profile(energy)(r)
 
     def profile_on_grid(self, energy: float, grid: Grid) -> np.ndarray:
+        """b_E at the grid's nodes, after checking b(L/2)/b(0) <= wrap_tol on
+        the shortest axis.  A power profile decays faster as E grows
+        (b_E(r)/b_E(0) = B(sqrt(E) r)/B(0)), so a power family checks a grid
+        again only below the lowest energy that passed on it."""
         prof = self.radial_profile(energy)
-        ratio = float(prof(min(L / 2.0 for L in grid.length))) / float(prof(0.0))
-        if ratio > self.wrap_tol:
-            raise GroundStateError(
-                f"profile not decayed at box edge: b(edge)/b(0) = {ratio:.2e}")
+        key = (grid.n, grid.length)
+        if not (self._power and energy >= self._decayed.get(key, math.inf)):
+            edge, top = prof(np.array([min(grid.length) / 2.0, 0.0]))
+            ratio = edge / top
+            if ratio > self.wrap_tol:
+                raise GroundStateError(
+                    f"profile not decayed at box edge: b(edge)/b(0) = {ratio:.2e}")
+            if self._power:
+                self._decayed[key] = energy
         return prof(grid.radius)
 
     def dbdE_on_grid(self, energy: float, grid: Grid, b: np.ndarray):
-        """(d b/dE, d^2 b/dE^2) on the grid, given b = profile_on_grid(energy).
+        """(d b/dE, d^2 b/dE^2) on the grid, given b = profile_on_grid(energy)."""
+        b_E, b_EE = self._dbdE(energy, grid, b)
+        return b_E, b_EE()
+
+    def _dbdE(self, energy: float, grid: Grid, b: np.ndarray):
+        """(b_E, f) on the grid with f() = b_EE: a residual needs only b_E,
+        and a Newton step's d t_l/d p_k asks for b_EE.
 
         With g = d log b/dE, b_E = b g and b_EE = b (g^2 + g').  For the power
         kind g follows from the scaling law and (log B)', (log B)'' at
@@ -647,93 +684,94 @@ class SolitonFamily:
         if self._power:
             sg, rt = self.model.sigma, math.sqrt(energy)
             d1, d2 = self._ref_log_derivatives(rt * r)
-            g = 1.0 / (2.0 * sg * energy) + r * d1 / (2.0 * rt)
-            dg = (-1.0 / (2.0 * sg * energy**2) + r**2 * d2 / (4.0 * energy)
-                  - r * d1 / (4.0 * energy * rt))
+            rd1 = r * d1
+            g = 1.0 / (2.0 * sg * energy) + rd1 / (2.0 * rt)
+
+            def dg():
+                return (-1.0 / (2.0 * sg * energy**2) + r**2 * d2 / (4.0 * energy)
+                        - rd1 / (4.0 * energy * rt))
         else:
             prof = self.profile(energy)
-            g = prof.b_E / prof.b
-            dg = prof.b_EE / prof.b - g * g
-            g, dg = _RadialSpline(prof.r, g)(r), _RadialSpline(prof.r, dg)(r)
+            g_r = prof.b_E / prof.b
+            g = _RadialSpline(prof.r, g_r)(r)
+
+            def dg():
+                return _RadialSpline(prof.r, prof.b_EE / prof.b - g_r * g_r)(r)
         b_E = b * g
-        return b_E, b_E * g + b * dg
+        return b_E, lambda: b_E * g + b * dg()
 
     # soliton construction
-    def _active(self):
-        return tuple(range(self.dim)) + (3,)
-
     def _centered(self, p, grid: Grid):
-        """(u, b, E, m~) of eta_p = u b at q = 0."""
+        """(u, b, E, m~, p.x) of eta_p = u b at q = 0, u = e^{-i p.x / (2 m~)}."""
         mt = self.m_ref + p[3] / 2.0
         if mt <= 0:
             raise GroundStateError("m + p4/2 must stay positive")
         E = self.energy_of_mass(mt)
         b = self.profile_on_grid(E, grid)
-        phase = sum(p[j] * grid.x[j] for j in range(self.dim)) / (2.0 * mt)
+        px = sum(p[j] * grid.x[j] for j in range(self.dim))
+        phase = px / (2.0 * mt)
         u = np.empty(np.shape(phase), complex)   # exp(-i phase) from its real angle
         np.cos(phase, out=u.real)
         np.sin(-phase, out=u.imag)
-        return u, b, E, mt
+        return u, b, E, mt, px
 
     def build_centered(self, p, grid: Grid):
-        """eta_p (at q = 0) and its ingredients."""
-        u, b, E, mt = self._centered(np.asarray(p, dtype=float), grid)
-        return u * b + np.zeros(grid.n, complex), b, E, mt
+        """eta_p (at q = 0) and its ingredients (b, E, m~)."""
+        u, b, E, mt, _ = self._centered(np.asarray(p, dtype=float), grid)
+        return u * b, b, E, mt
 
     def build(self, params: SolitonParameters, grid: Grid) -> FieldState:
         eta, _, _, _ = self.build_centered(params.p, grid)
         return apply_symmetry(FieldState(grid, eta), params.q)
 
     def tangents(self, p, grid: Grid) -> SolitonTangents:
-        """eta_p, d eta/d p_j and A_j eta_p, all centered at q = 0."""
+        """eta_p, d eta/d p_j and A_j eta_p, all centered at q = 0, written
+        into the rows of the bundle's blocks."""
         p = np.asarray(p, dtype=float)
-        u, b, E, mt = self._centered(p, grid)
-        eta = u * b + np.zeros(grid.n, complex)
-        t = [None, None, None, None]
-        A_eta = [None, None, None, None]
-        for j in range(self.dim):
-            t[j] = -1j * grid.x[j] / (2.0 * mt) * eta + np.zeros(grid.n, complex)
-        b_E, b_EE = self.dbdE_on_grid(E, grid, b)
+        u, b, E, mt, px = self._centered(p, grid)
+        b_E, b_EE = self._dbdE(E, grid, b)
         dEdm, d2Edm2 = self._mass_derivatives(E, mt)
-        px = sum(p[j] * grid.x[j] for j in range(self.dim))
-        t[3] = u * (1j * px / (4.0 * mt**2) * b + 0.5 * dEdm * b_E) \
-            + np.zeros(grid.n, complex)
-        eta_hat = sfft.fftn(eta)
+        act = self._active
+        A = np.empty((len(act), 2 * grid.size))
+        tg = SolitonTangents(p=p, mtilde=mt, energy=E, grid=grid, A=A, T=np.empty_like(A),
+                             eta_hat=None, active=act, u=u, b=b, b_E=b_E, b_EE_of=b_EE,
+                             dE_dm=dEdm, d2E_dm2=d2Edm2)
+        eta = np.multiply(u, b, out=tg.eta)
         for j in range(self.dim):
-            A_eta[j] = sfft.ifftn(-grid.k_deriv[j] * eta_hat)
-        A_eta[3] = eta
-        return SolitonTangents(p=p, mtilde=mt, energy=E, grid=grid, eta=eta,
-                               eta_hat=eta_hat, t=t, A_eta=A_eta, active=self._active(),
-                               u=u, b=b, b_E=b_E, b_EE=b_EE, dE_dm=dEdm, d2E_dm2=d2Edm2)
+            np.multiply(-1j * grid.x[j] / (2.0 * mt), eta, out=tg.t[j])
+        np.multiply(u, 1j * px / (4.0 * mt**2) * b + 0.5 * dEdm * b_E, out=tg.t[3])
+        tg.eta_hat = fld.fftn(eta)
+        for j in range(self.dim):
+            fld.ifftn(-grid.k_deriv[j] * tg.eta_hat, tg.A_eta[j])
+        return tg
 
     def lambda_multipliers(self, params: SolitonParameters) -> np.ndarray:
-        p = np.asarray(params.p, dtype=float)
-        mt = self.m_ref + p[3] / 2.0
-        E = self.energy_of_mass(mt)
-        lam = np.zeros(4)
-        lam[:3] = p[:3] / mt
-        lam[3] = -(E + float(np.sum(p[:3] ** 2)) / (4.0 * mt**2))
+        lam = self.coordinate_rates(params.p)
+        lam[3] = -lam[3]
         return lam
 
     def coordinate_rates(self, p) -> np.ndarray:
-        """Free drift rates of q along the flow: q_vec' = p/m~, q4' = E + v^2/4.
+        """Free drift rates of q along the flow: q_vec' = p/m~, q4' = E + v^2/4
+        (the Lagrange multipliers of eta_p, with q4' = -lambda_4).
         The base of the warm-start predictor between extractions; the scenario
         run adds the previous sample's miss of it (the stepping scheme's own
         phase speed) on top."""
-        lam = self.lambda_multipliers(SolitonParameters(tuple(p)))
-        rates = lam.copy()
-        rates[3] = -lam[3]
+        p = np.asarray(p, dtype=float)
+        mt = self.m_ref + p[3] / 2.0
+        rates = np.empty(4)
+        rates[:3] = p[:3] / mt
+        rates[3] = self.energy_of_mass(mt) + float(np.sum(p[:3] ** 2)) / (4.0 * mt**2)
         return rates
 
     def residual_check(self, params: SolitonParameters, grid: Grid) -> float:
         """L2 norm of -Lap eta + grad H_P(eta) - lambda^j A_j eta."""
         eta, b, E, mt = self.build_centered(params.p, grid)
         lam = self.lambda_multipliers(params)
-        eta_hat = sfft.fftn(eta)
-        res = sfft.ifftn(grid.k2 * eta_hat)                       # -Lap eta
+        eta_hat = fld.fftn(eta)
+        res = fld.ifftn(grid.k2 * eta_hat)                        # -Lap eta
         res = res - self.model.beta_prime(np.abs(eta) ** 2) * eta  # grad H_P
         for j in range(self.dim):
-            A_j = sfft.ifftn(-grid.k_deriv[j] * eta_hat)
+            A_j = fld.ifftn(-grid.k_deriv[j] * eta_hat)
             res = res - lam[j] * A_j
         res = res - lam[3] * eta
         return float(np.sqrt(grid.cell * np.sum(np.abs(res) ** 2)))

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import evolve as ev
+from . import field as fld
 from .field import FieldState, Grid, h1_norm, w1s_norm, apply_symmetry
 from .groundstate import SolitonFamily, mass_curve
 from .mech import (EffectivePotential, MechOrbit, MechState,
@@ -90,7 +90,7 @@ def build_perturbation(grid: Grid, family: SolitonFamily, p_bar, size: float,
     spec = (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
     mask = sum(kj**2 for kj in grid.k) <= kmax**2
     spec = np.where(mask, spec, 0.0)
-    raw = FieldState(grid, sfft.ifftn(spec))
+    raw = FieldState(grid, fld.ifftn(spec))
     tg = family.tangents(np.asarray(p_bar, dtype=float), grid)
     proj = project(raw, tg)
     nrm = h1_norm(proj)

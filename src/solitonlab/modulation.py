@@ -10,6 +10,15 @@ The chart writes psi = e^{q.JA}(eta_p + Pi_p phi).  Extraction solves the
 approximately block-diagonal (df/dp ~ -I, dg/dq ~ +I), which is what makes
 warm-started Newton reliable along a trajectory.
 
+A bracket of two fields is 2 cell times the dot product of their real
+(re, im) views.  The tangent bundle holds the active A_l eta and t_l as the
+rows of two real blocks, so the 2(dim+1) pairings of a field are two
+matrix-vector products, f = A @ view(v) and g = T @ view(-i v) (since
+<i t, v> = <t, -i v>), and the Jacobian's p- and q-columns are products of
+the blocks with stacks of fields.  `project` keeps its bracket-by-bracket
+sums: it projects the initial state's perturbation, whose bits the golden
+runs pin.
+
 phi in the returned decomposition is the physical remainder Phi = Pi_p phi,
 the quantity the long-time bounds control, so psi = e^{q.JA}(eta_p + phi).
 The reference-space coordinate is invert_projector(phi, tangents_p,
@@ -21,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
+from . import field as fld
 from .field import FieldState, apply_symmetry, h1_norm, l2_norm, momenta
 from .groundstate import (GroundStateError, SolitonFamily, SolitonParameters,
                           SolitonTangents)
@@ -71,16 +80,30 @@ def _bracket(cell, u, v):
     return 2.0 * cell * float(np.sum(u.real * v.real + u.imag * v.imag))
 
 
+def _real(a: np.ndarray, size: int) -> np.ndarray:
+    """A complex field, or a stack of k of them, as rows of (re, im) pairs:
+    a real (k, 2 size) view."""
+    return a.reshape(-1, size).view(float)
+
+
 def _pairings(tg: SolitonTangents, vals):
-    """(f_l, g_l) for the active indices: f = <A_l eta, vals>, g = <E t_l, vals>."""
-    cell = tg.grid.cell
-    f = [_bracket(cell, tg.A_eta[j], vals) for j in tg.active]
-    g = [_bracket(cell, 1j * tg.t[j], vals) for j in tg.active]
-    return np.array(f + g)
+    """(f_l, g_l) for the active indices: f = <A_l eta, vals>, g = <E t_l, vals>,
+    as A @ view(vals) and T @ view(-i vals).  `vals` is one field (a vector
+    out) or a stack of k fields (a (2 len(active), k) matrix out, one column
+    per field)."""
+    g = tg.grid
+    v = _real(vals, g.size).T
+    out = np.concatenate((tg.A @ v, tg.T @ _real(-1j * vals, g.size).T))
+    out *= 2.0 * g.cell
+    return out[:, 0] if vals.shape == g.n else out
 
 
 def project(psi: FieldState, tangents: SolitonTangents) -> FieldState:
-    """Pi_p psi = psi - sum <A_j eta, psi> t_j + sum <E t_j, psi> J A_j eta."""
+    """Pi_p psi = psi - sum <A_j eta, psi> t_j + sum <E t_j, psi> J A_j eta.
+
+    Bracket by bracket, in the order of the active indices: the initial
+    state's perturbation is projected here, and the golden runs pin its
+    bits (a matrix product sums in another order)."""
     if not psi.grid.compatible(tangents.grid):
         raise ExtractionError("grid mismatch between field and tangents")
     cell = psi.grid.cell
@@ -122,19 +145,20 @@ def invert_projector(phi_raw: FieldState, tangents_p: SolitonTangents,
 
 
 class _Workspace:
-    """Caches for one extraction: tangent bundles keyed by p, and the last
+    """Caches for one extraction: tangent bundles keyed by p, the last
     pull-back apply_symmetry(psi, -q), which shifts psi.spectrum and carries
-    the result: nothing derived from psi is transformed forward."""
+    the result (nothing derived from psi is transformed forward), and the
+    bundle, pull-back and remainder of the last residual evaluated (`last`)."""
 
     def __init__(self, psi: FieldState, family: SolitonFamily):
         self.psi = psi
         self.grid = psi.grid
         self.family = family
         self._tg = {}
-        self._q = self._pb = None
+        self._q = self._pb = self.last = None
 
     def tangents(self, p) -> SolitonTangents:
-        key = tuple(np.round(np.asarray(p, dtype=float), 14))
+        key = np.round(np.asarray(p, dtype=float), 14).tobytes()
         if key not in self._tg:
             if len(self._tg) > 128:
                 self._tg.clear()
@@ -143,18 +167,19 @@ class _Workspace:
 
     def pulled_back(self, q) -> FieldState:
         """e^{-q.JA} psi = e^{+i q4} psi(. + q_vec); cached."""
-        if self._q is None or not np.array_equal(q, self._q):
+        if self._q is None or not (q == self._q).all():
             self._q = np.array(q, dtype=float)
             self._pb = apply_symmetry(self.psi, -self._q)
         return self._pb
 
-    def q_derivative(self, q, j: int) -> np.ndarray:
+    def q_derivative(self, q, j: int, out: np.ndarray | None = None) -> np.ndarray:
         """d/dq_j of e^{-q.JA} psi: the spectral d_j with the wavenumbers of
-        the shift itself (Nyquist kept), and i e^{-q.JA} psi for j = 4."""
+        the shift itself (Nyquist kept), and i e^{-q.JA} psi for j = 4;
+        written into `out` when given."""
         P = self.pulled_back(q)
         if j == 3:
-            return 1j * P.values
-        return sfft.ifftn(1j * self.grid.k[j] * P.spectrum)
+            return np.multiply(1j, P.values, out)
+        return fld.ifftn(1j * self.grid.k[j] * P.spectrum, out)
 
     def residual(self, p, q) -> np.ndarray:
         """Pairings at (p, q); +inf vector for trial points outside the
@@ -164,7 +189,10 @@ class _Workspace:
             tg = self.tangents(p)
         except GroundStateError:
             return np.full(n, np.inf)
-        r = _pairings(tg, self.pulled_back(q).values - tg.eta)
+        P = self.pulled_back(q)
+        phi = P.values - tg.eta
+        self.last = (tg, P, phi)
+        r = _pairings(tg, phi)
         return r if np.all(np.isfinite(r)) else np.full(n, np.inf)
 
 
@@ -178,29 +206,34 @@ def newton_jacobian(ws: _Workspace, p, q) -> np.ndarray:
     """Jacobian of the residuals in (p, q), columns (p_active, q_active), exact.
 
     Only the tangents depend on p and only the pull-back P = e^{-q.JA} psi on
-    q.  A q-column is the pairings of dP/dq_k.  With Phi = P - eta_p, a
-    p-column is [<A_l t_k, Phi>]_l ++ [<i d t_l/d p_k, Phi>]_l - <., t_k>,
-    where d t_l/d p_k is the closed form SolitonTangents.dt and
-    <A_l t_k, Phi> = <t_k, A_l Phi> (A_l is symmetric in the bracket); the
-    spectrum of Phi is that of P minus that of eta_p, so none is transformed.
+    q.  The q-columns are the pairings of the stack of dP/dq_k.  With
+    Phi = P - eta_p, a p-column is [<A_l t_k, Phi>]_l ++ [<i d t_l/d p_k,
+    Phi>]_l - <., t_k>, where d t_l/d p_k is the closed form
+    SolitonTangents.dt and <A_l t_k, Phi> = <t_k, A_l Phi> (A_l is symmetric
+    in the bracket), so the first block is one product of the T block with
+    the stack of A_l Phi; the spectrum of Phi is that of P minus that of
+    eta_p, so none is transformed.
     """
     tg = ws.tangents(p)
     g, act = ws.grid, tg.active
+    w = 2.0 * g.cell
     P = ws.pulled_back(q)
-    phi = P.values - tg.eta
     phi_hat = P.spectrum - tg.eta_hat
-    A_phi = [phi if l == 3 else sfft.ifftn(-g.k_deriv[l] * phi_hat) for l in act]
-    g_dt = np.empty((len(act), len(act)))          # <i d t_l/d p_k, Phi>, symmetric
+    A_phi = np.empty((len(act),) + g.n, complex)
+    np.subtract(P.values, tg.eta, A_phi[-1])          # A_4 Phi = Phi
+    for a, l in enumerate(act[:-1]):
+        fld.ifftn(-g.k_deriv[l] * phi_hat, A_phi[a])
+    f = w * (_real(A_phi, g.size) @ tg.T.T)            # [l, k] = <A_l t_k, Phi>
+    mi_phi = _real(-1j * A_phi[-1], g.size)[0]
+    g_dt = np.empty((len(act), len(act)))             # <i d t_l/d p_k, Phi>, symmetric
     for a, l in enumerate(act):
         for c in range(a, len(act)):
-            g_dt[a, c] = g_dt[c, a] = _bracket(g.cell, 1j * tg.dt(l, act[c]), phi)
-    cols = []
-    for c, k in enumerate(act):
-        f = [_bracket(g.cell, tg.t[k], A) for A in A_phi]
-        cols.append(np.concatenate([f, g_dt[:, c]]) - _pairings(tg, tg.t[k]))
-    for k in act:
-        cols.append(_pairings(tg, ws.q_derivative(q, k)))
-    return np.column_stack(cols)
+            g_dt[a, c] = g_dt[c, a] = w * (_real(tg.dt(l, act[c]), g.size)[0] @ mi_phi)
+    dq = np.empty_like(A_phi)
+    for a, k in enumerate(act):
+        ws.q_derivative(q, k, dq[a])
+    t_stack = tg.T.view(complex)
+    return np.hstack((np.vstack((f, g_dt)) - _pairings(tg, t_stack), _pairings(tg, dq)))
 
 
 def initial_guess(psi: FieldState, family: SolitonFamily):
@@ -297,9 +330,8 @@ def extract(psi: FieldState, family: SolitonFamily,
         p, q, r, rn = p_new, q_new, r_new, rn_new
         iters += 1
 
-    tg = ws.tangents(p)
-    P = ws.pulled_back(q)
-    phi = FieldState(psi.grid, P.values - tg.eta, P.spectrum - tg.eta_hat)
+    tg, P, phi = ws.last            # every Newton step ends on a residual at its (p, q)
+    phi = FieldState(psi.grid, phi, P.spectrum - tg.eta_hat)
     phi_h1 = h1_norm(phi)
     eta_h1 = h1_norm(FieldState(psi.grid, tg.eta, tg.eta_hat))
     if phi_h1 > phi_frac_max * eta_h1:

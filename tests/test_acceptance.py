@@ -130,6 +130,7 @@ def test_criterion_2_free_soliton(free_run):
     assert free_run.wall < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_3_conservation(free_run, sweep):
     worst_mass, worst_h, worst_p = 0.0, 0.0, 0.0
     n_steps_worst = 0
@@ -215,6 +216,7 @@ def test_criterion_5_spectral_hypotheses():
     assert wall < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_6_energy_drift_scaling(sweep):
     sl = sweep.slopes["drift"]
     ok = sl["slope"] >= 1.4 and sl["residual"] <= 0.15 and sweep.wall <= 900.0
@@ -228,6 +230,7 @@ def test_criterion_6_energy_drift_scaling(sweep):
     assert not any(e["partial"] for e in sweep.entries)
 
 
+@pytest.mark.slow
 def test_criterion_7_remainder_scaling(sweep):
     sl = sweep.slopes["phi_h1"]
     ok = abs(sl["slope"] - 0.5) <= 0.15
@@ -236,6 +239,7 @@ def test_criterion_7_remainder_scaling(sweep):
     assert abs(sl["slope"] - 0.5) <= 0.15
 
 
+@pytest.mark.slow
 def test_criterion_8_orbit_distance(sweep):
     # margin check and the per-sample C2 bound of the eps^1 law
     margin = min(rec.summary["critical_margin"] for rec in sweep.records)

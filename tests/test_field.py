@@ -253,3 +253,85 @@ def test_identity_actions_return_the_field(grid512, rng):
     psi = _random_field(grid512, rng)
     assert apply_symmetry(psi, (0, 0, 0, 0)) is psi
     assert apply_A(psi, 4) is psi
+
+
+# -- the shared per-sample arrays --------------------------------------------------
+
+def test_density_and_power_are_read_only_and_computed_once(grid512, rng, monkeypatch):
+    import solitonlab.field as field
+    psi = _random_field(grid512, rng)
+    calls = []
+    fftn = field.fftn
+    monkeypatch.setattr(field, "fftn", lambda a: calls.append(None) or fftn(a))
+    for arr in (psi.density, psi.power):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert psi.density is psi.density and psi.power is psi.power
+    assert len(calls) == 1
+    assert np.array_equal(psi.density, np.abs(psi.values) ** 2)
+    assert np.array_equal(psi.power, np.abs(psi.spectrum) ** 2)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_diagnostics_through_shared_arrays_are_bit_for_bit(grid512, rng, cubic, dim):
+    # hamiltonian, momenta, boundary_mass_fraction and h1_norm read the
+    # cached density and power with the expressions that squared the field
+    # themselves
+    from solitonlab.evolve import hamiltonian
+    import scipy.fft as sfft
+    grid = grid512 if dim == 1 else Grid(3, 16, 12.0)
+    psi = _random_field(grid, rng)
+    V = rng.standard_normal(grid.n)
+    g = grid
+    ph2, s = np.abs(sfft.fftn(psi.values)) ** 2, np.abs(psi.values) ** 2
+    kin = g.cell / int(np.prod(g.n)) * np.sum(g.k2 * ph2)
+    h = float(kin + -g.cell * np.sum(cubic.beta(s)) + 0.3 * g.cell * np.sum(V * s))
+    assert hamiltonian(psi, cubic, V, 0.3) == h
+    P = np.zeros(4)
+    for j in range(dim):
+        P[j] = -(g.cell / int(np.prod(g.n))) * np.sum(g.k_deriv[j] * ph2)
+    P[3] = g.cell * np.sum(s)
+    assert np.array_equal(momenta(psi), P)
+    assert h1_norm(psi) == float(np.sqrt(np.sum((1.0 + g.k2) * ph2) * g.cell
+                                         / int(np.prod(g.n))))
+    mask = np.zeros(g.n, dtype=bool)
+    for j in range(dim):
+        idx = [slice(None)] * dim
+        idx[j] = slice(0, 5)
+        mask[tuple(idx)] = True
+        idx[j] = slice(g.n[j] - 5, g.n[j])
+        mask[tuple(idx)] = True
+    assert boundary_mass_fraction(psi) == float(np.sum(s[mask]) / float(np.sum(s)))
+
+
+def test_grid_constants_are_set_once():
+    g = Grid(3, (8, 6, 4), 10.0)
+    assert g.size == 192 and isinstance(g.size, int)
+    m = g.edge_mask(2)
+    assert g.edge_mask(2) is m and not m.flags.writeable
+    assert m.sum() == 192 - (8 - 4) * (6 - 4) * (4 - 4)
+
+
+def test_transform_pair_is_scipy_fft_bit_for_bit(rng):
+    import scipy.fft as sfft
+    from solitonlab.field import fftn, ifftn
+    for shape in [(512,), (16, 16, 16), (6, 5, 4)]:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(fftn(a), sfft.fftn(a))
+        assert np.array_equal(ifftn(a), sfft.ifftn(a))
+        out = np.empty(shape, complex)
+        assert ifftn(a, out) is out and np.array_equal(out, sfft.ifftn(a))
+
+
+def test_shift_factor_from_cos_and_sin_is_exp_bit_for_bit(rng):
+    # the translation's factor exp(-i k q) from cos and sin of its real
+    # angle is np.exp's, bit for bit, so translated fields keep their bits
+    import scipy.fft as sfft
+    for grid in (Grid(1, 512, 40 * math.pi), Grid(3, 16, 12.0)):
+        for scale in (0.01, 1.0, 30.0):
+            q = rng.standard_normal(4) * scale
+            psi = _random_field(grid, rng)
+            shift = sum(grid.k[j] * q[j] for j in range(grid.dim))
+            ph = sfft.fftn(psi.values) * np.exp(-1j * shift) * np.exp(-1j * q[3])
+            out = apply_symmetry(psi, q)
+            assert np.array_equal(out.spectrum, ph)

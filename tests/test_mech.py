@@ -248,6 +248,7 @@ def test_orbit_steps_floor_and_target(family, grid512, well_veff):
     assert orbit_steps(well_veff, 1.0, 1e-3, 500.0) < 25_000
 
 
+@pytest.mark.slow
 def test_sized_orbit_matches_fine_orbit_on_sweep():
     # the benchmark's sweep (horizon 0.5/eps, dt 4e-3, 100 samples): each
     # member's max d_eps against its sized orbit is within 1e-3 of that

@@ -8,6 +8,7 @@ from solitonlab.field import (FieldState, Grid, apply_symmetry, h1_norm,
                               inner, l2_norm)
 from solitonlab.groundstate import SolitonFamily, SolitonParameters
 from solitonlab.model import NonlinearityModel
+from solitonlab.modulation import _pairings as modulation_pairings
 from solitonlab.modulation import (ExtractionError, LeavesChartError,
                                    SolitonCoordinates, _Workspace, extract,
                                    initial_guess, invert_projector,
@@ -474,28 +475,40 @@ def test_extract_spectra_are_fftn(family, grid512, rng):
         assert np.max(np.abs(hat - want)) < 1e-13 * np.max(np.abs(want))
 
 
-def test_one_forward_transform_per_sample(family, grid512, rng, monkeypatch):
-    # the diagnostics and the extraction of one sample share one transform
-    # of the field; the remainder phi is never transformed, and every other
-    # forward transform is a tangent bundle's eta
-    import scipy.fft
-    from solitonlab.evolve import hamiltonian
-    from solitonlab.field import momenta
-    p, q = np.array([0.2, 0, 0, 0.1]), np.array([1.3, 0, 0, 0.7])
-    psi = _off_chart_sample(family, grid512, rng, p, q)
-    inputs, bundles = [], []
-    fftn, tangents = scipy.fft.fftn, SolitonFamily.tangents
+def _count_transforms(monkeypatch):
+    """Record the input of every field.fftn and field.ifftn call, and count
+    the tangent bundles built; returns (forward, inverse, bundles)."""
+    from solitonlab import field
+    fwd, inv, bundles = [], [], []
+    fftn, ifftn, tangents = field.fftn, field.ifftn, SolitonFamily.tangents
 
     def counting_fftn(x, *a, **kw):
-        inputs.append(np.array(x))
+        fwd.append(np.array(x))
         return fftn(x, *a, **kw)
+
+    def counting_ifftn(x, *a, **kw):
+        inv.append(np.array(x))
+        return ifftn(x, *a, **kw)
 
     def counting_tangents(self, *a, **kw):
         bundles.append(None)
         return tangents(self, *a, **kw)
 
-    monkeypatch.setattr(scipy.fft, "fftn", counting_fftn)
+    monkeypatch.setattr(field, "fftn", counting_fftn)
+    monkeypatch.setattr(field, "ifftn", counting_ifftn)
     monkeypatch.setattr(SolitonFamily, "tangents", counting_tangents)
+    return fwd, inv, bundles
+
+
+def test_one_forward_transform_per_sample(family, grid512, rng, monkeypatch):
+    # the diagnostics and the extraction of one sample share one transform
+    # of the field; the remainder phi is never transformed, and every other
+    # forward transform is a tangent bundle's eta
+    from solitonlab.evolve import hamiltonian
+    from solitonlab.field import momenta
+    p, q = np.array([0.2, 0, 0, 0.1]), np.array([1.3, 0, 0, 0.7])
+    psi = _off_chart_sample(family, grid512, rng, p, q)
+    inputs, _, bundles = _count_transforms(monkeypatch)
     hamiltonian(psi, family.model, None, 0.0)
     momenta(psi)
     dec = extract(psi, family, guess=SolitonCoordinates(p, q))
@@ -503,3 +516,96 @@ def test_one_forward_transform_per_sample(family, grid512, rng, monkeypatch):
     assert sum(np.array_equal(x, psi.values) for x in inputs) == 1
     assert not any(np.allclose(x, dec.phi.values) for x in inputs)
     assert len(inputs) == 1 + len(bundles)
+
+
+def test_transforms_of_a_sample_at_the_root(family, grid512, monkeypatch):
+    # a sample whose guess is the root takes no Newton step: its diagnostics
+    # and extraction transform psi forward once and the bundle's eta once,
+    # and make two inverse transforms, the pull-back and A_1 eta
+    from solitonlab.evolve import hamiltonian
+    from solitonlab.field import boundary_mass_fraction, momenta
+    p, q = np.array([0.2, 0, 0, 0.1]), np.array([1.3, 0, 0, 0.7])
+    psi = FieldState(grid512, family.build(SolitonParameters(tuple(p), tuple(q)),
+                                           grid512).values)
+    fwd, inv, bundles = _count_transforms(monkeypatch)
+    hamiltonian(psi, family.model, None, 0.0)
+    momenta(psi)
+    boundary_mass_fraction(psi)
+    dec = extract(psi, family, guess=SolitonCoordinates(p, q))
+    assert dec.newton_iters == 0 and len(bundles) == 1
+    assert len(fwd) == 2 and np.array_equal(fwd[0], psi.values)
+    assert len(inv) == 2
+
+
+# -- stacked pairings against the per-bracket sums ----------------------------------
+
+def _bracket(cell, u, v):
+    return 2.0 * cell * float(np.sum(u.real * v.real + u.imag * v.imag))
+
+
+def _bracket_pairings(tg, vals):
+    cell = tg.grid.cell
+    return np.array([_bracket(cell, tg.A_eta[j], vals) for j in tg.active]
+                    + [_bracket(cell, 1j * tg.t[j], vals) for j in tg.active])
+
+
+def _bracket_project(vals, tg):
+    cell, out = tg.grid.cell, vals.copy()
+    for j in tg.active:
+        out -= _bracket(cell, tg.A_eta[j], vals) * tg.t[j]
+        out += _bracket(cell, 1j * tg.t[j], vals) * (-1j * tg.A_eta[j])
+    return out
+
+
+def _bracket_jacobian(ws, p, q):
+    tg = ws.tangents(p)
+    g, act = ws.grid, tg.active
+    P = ws.pulled_back(q)
+    phi = P.values - tg.eta
+    phi_hat = P.spectrum - tg.eta_hat
+    A_phi = [phi if l == 3 else np.fft.ifftn(-g.k_deriv[l] * phi_hat) for l in act]
+    cols = []
+    for k in act:
+        f = [_bracket(g.cell, tg.t[k], A) for A in A_phi]
+        gd = [_bracket(g.cell, 1j * tg.dt(l, k), phi) for l in act]
+        cols.append(np.concatenate([f, gd]) - _bracket_pairings(tg, tg.t[k]))
+    for k in act:
+        cols.append(_bracket_pairings(tg, ws.q_derivative(q, k)))
+    return np.column_stack(cols)
+
+
+def _close(a, b, rel=1e-13):
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_stacked_products_match_bracket_sums(family, grid512, family3d, dim):
+    # the pairings, the projector and the Jacobian as matrix products of the
+    # bundle's blocks agree with bracket-by-bracket sums to roundoff
+    rng = np.random.default_rng(5)
+    if dim == 1:
+        fam, grid = family, grid512
+        p, q = np.array([0.2, 0, 0, 0.1]), np.array([1.3, 0, 0, 0.7])
+    else:
+        fam, grid = family3d[0], Grid(3, 16, 28.0)
+        p, q = P3, Q3
+    tg = fam.tangents(p, grid)
+    noise = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    psi = apply_symmetry(FieldState(grid, tg.eta + 1e-2 * noise), q)
+    ws = _Workspace(psi, fam)
+    v = ws.pulled_back(q).values - tg.eta
+    assert _close(modulation_pairings(tg, v), _bracket_pairings(tg, v))
+    assert _close(project(FieldState(grid, noise), tg).values, _bracket_project(noise, tg))
+    assert _close(newton_jacobian(ws, p, q), _bracket_jacobian(ws, p, q))
+
+
+def test_tangent_blocks_are_the_bundle_arrays(family3d):
+    # A_j eta, t_j and eta are views of the bundle's two real blocks: a 3D
+    # bundle holds each array once
+    fam, grid = family3d[0], Grid(3, 16, 28.0)
+    tg = fam.tangents(P3, grid)
+    assert tg.A.shape == tg.T.shape == (4, 2 * grid.size)
+    for a, j in enumerate(tg.active):
+        assert np.shares_memory(tg.A_eta[j], tg.A[a]) and np.shares_memory(tg.t[j], tg.T[a])
+        assert np.array_equal(tg.A[a], tg.A_eta[j].ravel().view(float))
+    assert tg.eta is tg.A_eta[3]
