@@ -79,8 +79,6 @@ keeps the exp(i theta) arithmetic.
 from __future__ import annotations
 
 import logging
-import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -198,16 +196,6 @@ class Stepper:
         self._s = np.empty(grid.n)           # |psi|^2, then the phase
         self._rot = np.empty(grid.n, complex)
         self.threads = 1 if grid.dim == 1 else min(_cpu_count(), *grid.n)
-        # beta'(s) = c s^sigma with c >= 1 a power of two: multiplying by c is
-        # exact, so -dt (c s^sigma - eps V) = -c dt (s^sigma - eps V / c) bit
-        # for bit when eps V / c is exact too, and the phase takes one pass
-        # less.  A model class with its own beta_prime is stepped through it.
-        c = model.c
-        self._epsV_c = self.epsV if self.epsV is None or c == 1.0 else self.epsV / c
-        self._fold = (type(model).beta_prime is NonlinearityModel.beta_prime
-                      and model.kind == "power" and c >= 1.0 and math.frexp(c)[0] == 0.5
-                      and (self._epsV_c is self.epsV
-                           or np.array_equal(self._epsV_c * c, self.epsV)))
         if self.threads == 1:
             self._nonlinear = self._phase_substep(self._s, self._rot, np.s_[...])
         if self.threads > 1:
@@ -226,21 +214,14 @@ class Stepper:
         exp(-i dt (beta'(|vals|^2) - eps V)); `s` holds |vals|^2 and then the
         phase."""
         absolute, square, multiply, subtract = np.absolute, np.square, np.multiply, np.subtract
-        cos, sin, model = np.cos, np.sin, self.model
+        cos, sin, beta_prime, mdt = np.cos, np.sin, self.model.beta_prime, -self.dt
         re, im = rot.real, rot.imag
-        if self._fold:
-            mdt, sigma = -model.c * self.dt, model.sigma
-            epsV = None if self._epsV_c is None else self._epsV_c[part]
-            beta = None if sigma == 1.0 else (lambda a: operator.ipow(a, sigma))
-        else:
-            mdt, beta = -self.dt, (lambda a: model.beta_prime(a, a))
-            epsV = None if self.epsV is None else self.epsV[part]
+        epsV = None if self.epsV is None else self.epsV[part]
 
         def nonlinear(vals):
             absolute(vals, s)
             square(s, s)
-            if beta is not None:
-                beta(s)
+            beta_prime(s, s)
             if epsV is not None:
                 subtract(s, epsV, s)
             multiply(s, mdt, s)
@@ -390,9 +371,10 @@ def run(psi0: FieldState, model: NonlinearityModel, potential: PotentialModel | 
                      n_samples, done / (perf_counter() - t_start))
         return stop
 
-    # a FieldState of its own: the caller's psi0 does not keep the sample's
-    # density and power (two more field-sized arrays in 3D) past the run
-    stop = record(0, FieldState(grid, psi0.values, psi0.spectrum))
+    # a FieldState of its own, with psi0's spectrum if it holds one: the
+    # caller's psi0 keeps none of the arrays the diagnostics compute (in 3D
+    # each is a field-sized array held for the whole run)
+    stop = record(0, FieldState(grid, psi0.values, vars(psi0).get("spectrum")))
     done = 0
     while done < n_steps and not stop:
         blk = min(cadence, n_steps - done)

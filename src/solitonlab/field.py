@@ -92,11 +92,6 @@ class Grid:
             self.k_deriv.append(shape(kd, j))
 
     @cached_property
-    def h1_weight(self) -> np.ndarray:
-        """1 + |k|^2, the H1 norm's spectral weight."""
-        return 1.0 + self.k2
-
-    @cached_property
     def radius(self) -> np.ndarray:
         """|x| at every node, shape n."""
         return np.sqrt(sum(xj**2 for xj in self.x)) + np.zeros(self.n)
@@ -201,7 +196,7 @@ def gradient(psi: FieldState):
 
 def h1_norm(psi: FieldState) -> float:
     g = psi.grid
-    s = (g.h1_weight * psi.power).sum() * g.cell / g.size
+    s = ((1.0 + g.k2) * psi.power).sum() * g.cell / g.size
     return float(np.sqrt(s))
 
 

@@ -559,7 +559,6 @@ class SolitonFamily:
         self.wrap_tol = wrap_tol
         self._power = model.kind == "power"
         self._active = tuple(range(dim)) + (3,)
-        self._decayed = {}          # grid -> lowest energy whose profile passed the edge check
         if self._power:
             sg, c = model.sigma, model.c
             self._expo = 1.0 / sg - dim / 2.0
@@ -650,29 +649,19 @@ class SolitonFamily:
 
     def profile_on_grid(self, energy: float, grid: Grid) -> np.ndarray:
         """b_E at the grid's nodes, after checking b(L/2)/b(0) <= wrap_tol on
-        the shortest axis.  A power profile decays faster as E grows
-        (b_E(r)/b_E(0) = B(sqrt(E) r)/B(0)), so a power family checks a grid
-        again only below the lowest energy that passed on it."""
+        the shortest axis."""
         prof = self.radial_profile(energy)
-        key = (grid.n, grid.length)
-        if not (self._power and energy >= self._decayed.get(key, math.inf)):
-            edge, top = prof(np.array([min(grid.length) / 2.0, 0.0]))
-            ratio = edge / top
-            if ratio > self.wrap_tol:
-                raise GroundStateError(
-                    f"profile not decayed at box edge: b(edge)/b(0) = {ratio:.2e}")
-            if self._power:
-                self._decayed[key] = energy
+        edge, top = prof(np.array([min(grid.length) / 2.0, 0.0]))
+        ratio = edge / top
+        if ratio > self.wrap_tol:
+            raise GroundStateError(
+                f"profile not decayed at box edge: b(edge)/b(0) = {ratio:.2e}")
         return prof(grid.radius)
 
     def dbdE_on_grid(self, energy: float, grid: Grid, b: np.ndarray):
-        """(d b/dE, d^2 b/dE^2) on the grid, given b = profile_on_grid(energy)."""
-        b_E, b_EE = self._dbdE(energy, grid, b)
-        return b_E, b_EE()
-
-    def _dbdE(self, energy: float, grid: Grid, b: np.ndarray):
-        """(b_E, f) on the grid with f() = b_EE: a residual needs only b_E,
-        and a Newton step's d t_l/d p_k asks for b_EE.
+        """(d b/dE, f) on the grid, given b = profile_on_grid(energy), with
+        f() = d^2 b/dE^2: a residual needs only b_E, and a Newton step's
+        d t_l/d p_k asks for b_EE.
 
         With g = d log b/dE, b_E = b g and b_EE = b (g^2 + g').  For the power
         kind g follows from the scaling law and (log B)', (log B)'' at
@@ -729,7 +718,7 @@ class SolitonFamily:
         into the rows of the bundle's blocks."""
         p = np.asarray(p, dtype=float)
         u, b, E, mt, px = self._centered(p, grid)
-        b_E, b_EE = self._dbdE(E, grid, b)
+        b_E, b_EE = self.dbdE_on_grid(E, grid, b)
         dEdm, d2Edm2 = self._mass_derivatives(E, mt)
         act = self._active
         A = np.empty((len(act), 2 * grid.size))

@@ -438,6 +438,19 @@ def test_run_records_diagnostics(cubic, grid512):
     assert np.max(np.abs(masses - masses[0])) / masses[0] < 1e-12
 
 
+def test_run_keeps_no_sample_array_on_psi0(cubic, grid512):
+    # sample 0 is recorded on a FieldState of the run's own: the caller's psi0
+    # gains no spectrum, density or power, and a spectrum it holds is reused
+    psi = _sech(grid512)
+    run(psi, cubic, None, 0.0, 1e-3, 0.1, cadence=25)
+    assert set(vars(psi)) == {"grid", "values"}
+    held = FieldState(grid512, psi.values, sfft.fftn(psi.values))
+    seen = []
+    run(held, cubic, None, 0.0, 1e-3, 0.0, observer=lambda i, t, f: seen.append(f))
+    assert set(vars(held)) == {"grid", "values", "spectrum"}
+    assert seen[0] is not held and np.shares_memory(seen[0].spectrum, held.spectrum)
+
+
 def test_run_heartbeat(caplog, cubic, grid512):
     # 200 steps at cadence 5: 41 samples, one line at each tenth of them
     with caplog.at_level(logging.INFO, logger="solitonlab"):

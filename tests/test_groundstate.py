@@ -437,7 +437,8 @@ def test_closed_form_energy_derivatives(model, dim, E, grid512):
     else:
         fam = SolitonFamily(model, 3, m_ref=1.0, r_max=25.0, n_r=1024, wrap_tol=1e-6)
         grid = Grid(3, 32, 28.0)
-    b_E, b_EE = fam.dbdE_on_grid(E, grid, fam.profile_on_grid(E, grid))
+    b_E, b_EE_of = fam.dbdE_on_grid(E, grid, fam.profile_on_grid(E, grid))
+    b_EE = b_EE_of()
     h1, h2 = 1e-5 * E, 3e-4 * E
     fd1 = (fam.profile_on_grid(E + h1, grid)
            - fam.profile_on_grid(E - h1, grid)) / (2 * h1)
