@@ -241,10 +241,13 @@ class Stepper:
             raise BlowupError("amplitude grew by 1e3: integration aborted")
 
     def step_block(self, vals: np.ndarray, n_steps: int) -> np.ndarray:
-        """Exactly n_steps Strang steps (interior substeps fused)."""
+        """Exactly n_steps Strang steps (interior substeps fused).  The input
+        is guarded only on the first block: a later one is the guarded output
+        of the block before."""
         if n_steps <= 0:
             return vals
-        self._guard(vals)
+        if self._max0 is None:
+            self._guard(vals)
         if self.threads == 1:
             vals = self._block(vals, n_steps)
         else:

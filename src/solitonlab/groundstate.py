@@ -4,14 +4,13 @@ The profile solves  -Lap b - beta'(b^2) b + E b = 0  (positive, radial,
 monotone decreasing).  Solver routing:
 
   1D power      closed form  b(x) = ((1+sigma)E/c)^(1/(2 sigma)) sech^(1/sigma)(sigma sqrt(E) x)
-  3D power      Anderson-mixed Petviashvili iteration on u = r b (DST)
-  saturable     radial Newton solve with exact b_E, b_EE (banded 4th-order
-                stencil); also the tests' cross-check of the power kind
+  otherwise     radial Newton solve with exact b_E, b_EE (banded 8th-order
+                stencil)
 
-Both iterative solves continue the tail below 1e-12 b(0) as
-C e^{-sqrt(E) r}/r^(d-1).  The Petviashvili solve is memoized: a process
-makes one per model, energy and radial grid, and the callers share its
-read-only profile.  The dispatch's warning and checks still run on every call.
+The Newton solve continues the tail below 1e-12 b(0) as
+C e^{-sqrt(E) r}/r^(d-1).  It is memoized: a process makes one per model,
+energy and radial grid, and the callers share its read-only profile.  The
+dispatch's warning and checks still run on every call.
 
 A power family scales one reference profile B, the ground state at E = 1:
 b(E, r) = E^(1/(2 sigma)) B(sqrt(E) r), so m(E) = m(1) E^(1/sigma - d/2) and
@@ -46,7 +45,7 @@ from .spline import cubic_spline, pchip
 __all__ = [
     "GroundStateError", "GroundStateProfile", "MassCurve", "SolitonParameters",
     "SolitonTangents", "SolitonFamily",
-    "solve_ground_state", "newton_ground_state", "petviashvili_ground_state",
+    "solve_ground_state", "newton_ground_state",
     "mass_of", "mass_curve", "check_h2", "energy_of_mass", "profile_residual",
 ]
 
@@ -201,45 +200,55 @@ _NEWTON_TOL = 1e-11     # max|dy| <= tol max|y|; at 1e-13 roundoff kept b(0) >~ 
 _S_FLOOR = 1e-200       # b^2 floor: keeps a power's beta'' and beta''' s finite at b = 0
 
 
+@functools.lru_cache(maxsize=8)
 def newton_ground_state(model: NonlinearityModel, energy: float, dim: int,
                         r_max: float = 40.0, n: int = 2048) -> GroundStateProfile:
     """Newton on F = -Lap b + E b - beta'(b^2) b = 0 at the radii 0, h, ..., r_max
-    with a 4th-order stencil: on y = b (even at r = 0) in 1D, on y = r b (odd
-    at r = 0) in 3D, zero from r_max on.  The Jacobian
-    J = -Lap + E - beta'(b^2) - 2 beta''(b^2) b^2 is a pentadiagonal band, and
-    J y_next = J y - F(y) = -2 beta''(b^2) b^2 y.  At the root J b_E = -b and
+    with the 8th-order central stencil: on y = b (even at r = 0) in 1D, on
+    y = r b (odd at r = 0) in 3D, zero from r_max on.  The Jacobian
+    J = -Lap + E - beta'(b^2) - 2 beta''(b^2) b^2 is a (4, 4) band, and
+    J y_next = J y - F(y) = -2 beta''(b^2) b^2 y.  That step rounds at the
+    band's entries ~1/h^2 times y, which leaves the mass noisy at ~1e-13, so
+    one last step y -= J^-1 F(y) takes the root to roundoff: there
+    h^2 Lap y = (D^2 - D^4/12 + D^6/90 - D^8/560) y, D^2 y the second
+    differences, rounds at the size of the result.  At the root J b_E = -b and
     J b_EE = -2 b_E + (6 beta'' b + 4 beta''' b^3) b_E^2 give the exact
     E-derivatives, completed with b by `_complete_radial`.
 
     Newton from one sech guess can land on -b, on b = 0 or on a state with a
     node, so the guesses A sqrt(2E/c) sech(k sqrt(E) r), A in (1, 2),
     k in (2, 1, 1/2, 1/4), are tried in turn until one reaches a monotone
-    profile (up to sign) whose centre is bound, beta'(b(0)^2) > E."""
+    profile (up to sign) whose centre is bound, beta'(b(0)^2) > E.
+
+    Memoized per process on all the arguments: callers share the returned
+    profile, whose r, b, b_E and b_EE are read-only."""
     if model.kind == "saturable" and energy >= model.c:
         raise GroundStateError("saturable kind needs energy < c for decay")
     r, h = np.linspace(0.0, r_max, n, retstep=True)
     live = slice(dim == 3, n - 1)        # the unknowns; b(r_max) is continued
     w = r[live] if dim == 3 else 1.0
-    # -d^2/dr^2 (spectral._lap_4th's stencil) as solve_banded's (2, 2) band
-    lap = np.repeat([[1.0], [-16.0], [30.0], [-16.0], [1.0]], len(r[live]), axis=1)
-    if dim == 1:
-        lap[0, 2], lap[1, 1], lap[2, 1] = 2.0, -32.0, 31.0   # b(-h) = b(h), b(-2h) = b(2h)
-    else:
-        lap[2, 0] = 29.0                                    # u(-h) = -u(h), u(0) = 0
-    lap /= 12.0 * h * h
+    # -d^2/dr^2 as solve_banded's (4, 4) band.  Row r_g, g < 4, reaches
+    # r_(g-k) < 0 for g < k <= 4, whose image is y(r_(k-g)) in 1D and
+    # -y(r_(k-g)) in 3D, where the unknowns start at r_1 (u(0) = 0)
+    c = np.array([205.0 / 72.0, -8.0 / 5.0, 1.0 / 5.0, -8.0 / 315.0, 1.0 / 560.0]) / (h * h)
+    lap = np.repeat(np.concatenate([c[:0:-1], c])[:, None], len(r[live]), axis=1)
+    j0 = live.start
+    g, k = np.triu_indices(5, 1)
+    g, k = g[g >= j0], k[g >= j0]
+    lap[4 + 2 * g - k, k - g - j0] += c[k] if dim == 1 else -c[k]
 
     def jacobian(b):
         s = np.maximum(b * b, _S_FLOOR)
         bs2 = 2.0 * model.beta_second(s) * s
         jac = lap.copy()
-        jac[2] += energy - model.beta_prime(s) - bs2
+        jac[4] += energy - model.beta_prime(s) - bs2
         return jac, bs2, s
 
     for amp, k in itertools.product((1.0, 2.0), (2.0, 1.0, 0.5, 0.25)):
         y = w * amp * math.sqrt(2.0 * energy / model.c) * _sech(k * math.sqrt(energy) * r[live])
         for _ in range(40):
             jac, bs2, _ = jacobian(y / w)
-            y, y_prev = solve_banded((2, 2), jac, -bs2 * y, check_finite=False), y
+            y, y_prev = solve_banded((4, 4), jac, -bs2 * y, check_finite=False), y
             if np.max(np.abs(y - y_prev)) <= _NEWTON_TOL * np.max(np.abs(y)):
                 break
         else:
@@ -248,13 +257,23 @@ def newton_ground_state(model: NonlinearityModel, energy: float, dim: int,
         b = y / w
         if not (model.beta_prime(b[0] ** 2) > energy and np.all(np.diff(b) <= 1e-12 * b[0])):
             continue
+        d = [np.concatenate([y[4:0:-1] if dim == 1 else np.append(-y[2::-1], 0.0),
+                             y, np.zeros(4)])]           # y and its images
+        for _ in range(4):
+            d.append(np.diff(d[-1], 2))
+        lap_y = (d[1][3:-3] - d[2][2:-2] / 12.0 + d[3][1:-1] / 90.0 - d[4] / 560.0) / (h * h)
         jac, _, s = jacobian(b)
-        y_E = solve_banded((2, 2), jac, -y)
-        y_EE = solve_banded((2, 2), jac, -2.0 * y_E + (
+        y = y - solve_banded((4, 4), jac, (energy - model.beta_prime(s)) * y - lap_y)
+        b = y / w
+        jac, _, s = jacobian(b)
+        y_E = solve_banded((4, 4), jac, -y)
+        y_EE = solve_banded((4, 4), jac, -2.0 * y_E + (
             6.0 * model.beta_second(s) + 4.0 * model.beta_third(s) * s) * b * y_E * y_E / w)
         b, b_E, b_EE = np.zeros((3, n))
         b[live], b_E[live], b_EE[live] = y / w, y_E / w, y_EE / w
         _complete_radial(energy, dim, r, b, (b_E, b_EE))
+        for a in (r, b, b_E, b_EE):
+            a.flags.writeable = False
         prof = GroundStateProfile(energy, dim, r, b, model, b_E=b_E, b_EE=b_EE)
         prof.residual = profile_residual(prof, model)
         return prof
@@ -293,90 +312,6 @@ def _complete_radial(energy: float, dim: int, r: np.ndarray, b: np.ndarray, deri
     np.maximum(b, 1e-300, out=b)
 
 
-_ANDERSON_DEPTH = 3
-
-
-@functools.lru_cache(maxsize=8)
-def petviashvili_ground_state(model: NonlinearityModel, energy: float,
-                              r_max: float = 40.0, n: int = 2048,
-                              tol: float = 1e-13, max_iter: int = 800) -> GroundStateProfile:
-    """3D radial spectral-renormalization iteration on u = r b.
-
-    Power nonlinearity only (the stabilizing exponent uses its homogeneity
-    degree nu = 2 sigma + 1).  Memoized per process on all the arguments:
-    callers share the returned profile, whose r and b are read-only.
-
-    The Petviashvili step G maps the DST-I transform uhat of the iterate to
-    N^(uhat) / (k^2 + E) times the stabilizing factor; alone it converges
-    only linearly (77 steps to tol = 1e-13 at sigma = 1/2).  Each step is
-    Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal. 49 (2011) 1715, type
-    II, depth 3): with f = G(uhat) - uhat and the differences dX, dF of the
-    last three iterates and residuals, the next iterate is
-    G(uhat) - (dX + dF) gamma, gamma the least-squares fit of dF gamma = f.
-    That takes 15 steps at sigma = 1/2 (18 at sigma = 1, about 30 at
-    sigma = 1/4) and stops at the fixed point the plain step only
-    approaches.  A step still makes two DSTs, so the cost is set by the DST
-    length: at n = 1536 the DST-I of the 1534 interior points runs an FFT of
-    length 3070 = 2 * 5 * 307, whose prime factor pocketfft handles by
-    Bluestein's algorithm, several times slower per call than at n = 1024.
-    """
-    if model.kind != "power":
-        raise GroundStateError("petviashvili iteration requires the power kind")
-    sg, c = model.sigma, model.c
-    nu = 2.0 * sg + 1.0
-    theta = nu / (nu - 1.0)
-
-    r = np.linspace(0.0, r_max, n)
-    ri = r[1:-1]
-    m = len(ri)
-    kj = np.pi * np.arange(1, m + 1) / r_max
-    sym = kj**2 + energy
-
-    b = (1.0 / np.cosh(math.sqrt(energy) * ri)) ** (1.0 / sg)
-    u = ri * b
-
-    def nlin(u):
-        bb = u / ri
-        return c * np.abs(bb) ** (2.0 * sg) * u
-
-    uhat = sfft.dst(u, type=1)
-    dX, dF = [], []
-    for it in range(max_iter):
-        Nhat = sfft.dst(nlin(u), type=1)
-        num = np.sum(sym * uhat * uhat)
-        den = np.sum(uhat * Nhat)
-        if den <= 0:
-            raise GroundStateError("petviashvili stabilizer lost positivity")
-        g = Nhat / sym * (num / den) ** theta
-        f = g - uhat
-        if it:
-            dX.append(uhat - uhat_prev)
-            dF.append(f - f_prev)
-            del dX[:-_ANDERSON_DEPTH], dF[:-_ANDERSON_DEPTH]
-            F = np.column_stack(dF)
-            gamma = np.linalg.lstsq(F, f, rcond=None)[0]
-            g = g - (np.column_stack(dX) + F) @ gamma
-        uhat_prev, f_prev = uhat, f
-        # DST-I is its own inverse up to 2(m + 1): carry the new iterate's
-        # transform into the next iteration instead of transforming it again
-        uhat = g
-        u_new = sfft.dst(uhat, type=1) / (2.0 * (m + 1))
-        delta = np.max(np.abs(u_new - u)) / np.max(np.abs(u_new))
-        u = u_new
-        if delta < tol:
-            break
-    else:
-        raise GroundStateError("petviashvili iteration did not converge")
-
-    b = np.empty(n)
-    b[1:-1] = u / ri
-    _complete_radial(energy, 3, r, b)
-    r.flags.writeable = b.flags.writeable = False
-    prof = GroundStateProfile(energy, 3, r, b, model)
-    prof.residual = profile_residual(prof, model)
-    return prof
-
-
 def solve_ground_state(model: NonlinearityModel, energy: float, dim: int = 1,
                        r_max: float = 40.0, n: int = 2048,
                        residual_tol: float = 1e-6) -> GroundStateProfile:
@@ -391,8 +326,6 @@ def solve_ground_state(model: NonlinearityModel, energy: float, dim: int = 1,
         r = np.linspace(0.0, r_max, n)
         prof = GroundStateProfile(energy, 1, r, exact(r), model, exact=exact)
         prof.residual = profile_residual(prof, model)
-    elif model.kind == "power" and dim == 3:
-        prof = petviashvili_ground_state(model, energy, r_max=r_max, n=n)
     else:
         prof = newton_ground_state(model, energy, dim, r_max=r_max, n=n)
     if not np.isfinite(prof.residual) or prof.residual > residual_tol:
@@ -595,8 +528,8 @@ class SolitonFamily:
             miss = prof.mass - mtot
             if abs(miss) <= 1e-13 * mtot:
                 return energy
-            # the solved mass is noisy at ~1e-13: a step back onto a cached
-            # profile would cycle, so the best energy tried is the answer
+            # a step inside the cache key's rounding lands back on a cached
+            # profile and would cycle, so the best energy tried is the answer
             key = round(float(energy), 14)
             if key in tried:
                 return min(tried.values())[1]

@@ -2,31 +2,31 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.integrate import solve_ivp
 
+from solitonlab import groundstate
 from solitonlab.field import Grid, momenta
 from solitonlab.groundstate import (GroundStateError, GroundStateProfile,
                                     SolitonFamily, SolitonParameters, check_h2,
                                     energy_of_mass, mass_curve, mass_of,
-                                    newton_ground_state, petviashvili_ground_state,
-                                    solve_ground_state)
+                                    newton_ground_state, solve_ground_state)
 from solitonlab.model import NonlinearityModel
 
 SQRT_MODEL = NonlinearityModel("power", sigma=0.5, c=1.0)
 
 
 @pytest.fixture()
-def dst_calls(monkeypatch):
-    """A cold Petviashvili memo, and a list that records each scipy.fft.dst call."""
-    petviashvili_ground_state.cache_clear()
+def banded_calls(monkeypatch):
+    """A cold solver memo, and a list that records each banded solve of the
+    radial Newton."""
+    newton_ground_state.cache_clear()
     calls = []
-    dst = scipy.fft.dst
+    solve_banded = groundstate.solve_banded
 
     def counting(*args, **kw):
         calls.append(1)
-        return dst(*args, **kw)
-    monkeypatch.setattr(scipy.fft, "dst", counting)
+        return solve_banded(*args, **kw)
+    monkeypatch.setattr(groundstate, "solve_banded", counting)
     return calls
 
 
@@ -77,29 +77,30 @@ def test_newton_agrees_with_closed_form(cubic):
 # -- 3D solvers -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def prof3(cubic):
-    return petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=1536)
+def prof3():
+    return solve_ground_state(SQRT_MODEL, 1.0, dim=3, r_max=30.0, n=1536)
 
 
-def test_3d_petviashvili_residual(prof3):
+def test_3d_power_residual(prof3):
     assert prof3.residual < 1e-6
     assert np.all(prof3.b > 0)
     assert np.all(np.diff(prof3.b) <= 1e-12 * prof3.b[0])
 
 
 def test_3d_newton_cross_check(prof3):
-    solved = newton_ground_state(SQRT_MODEL, 1.0, dim=3, r_max=30.0, n=1536)
+    # against the same solve at half the spacing, and against the mass of a
+    # spectral (DST-based Petviashvili) solve on the same grid
+    fine = newton_ground_state(SQRT_MODEL, 1.0, dim=3, r_max=30.0, n=3071)
     r = np.linspace(0.0, 12.0, 120)
-    assert np.max(np.abs(solved(r) - prof3(r))) < 1e-5 * prof3.b[0]
+    assert np.max(np.abs(fine(r) - prof3(r))) < 1e-5 * prof3.b[0]
+    assert prof3.mass == pytest.approx(65.49035507437067, rel=1e-12)
 
 
 def test_3d_two_direction_shooting_match(prof3):
     """Outward (from the radial Newton solve's b(0)) and inward (from the
     asymptotic tail) integrations meet at mid-radius with matching
-    log-derivative, and both agree with the production profile there."""
-    E = prof3.energy
-    model = prof3.model
-    solved = newton_ground_state(model, E, dim=3, r_max=30.0, n=1536)
+    log-derivative, and agree with the solved profile there."""
+    E, model, solved = prof3.energy, prof3.model, prof3
 
     def rhs(r, y):
         b, bp = y
@@ -122,14 +123,13 @@ def test_3d_two_direction_shooting_match(prof3):
     b_i, bp_i = inw.sol(r_mid)
     assert b_o == pytest.approx(solved(r_mid), rel=1e-4)
     assert bp_o / b_o == pytest.approx(bp_i / b_i, rel=1e-3)
-    assert prof3(r_mid) == pytest.approx(b_o, rel=1e-4)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0 / 3.0], ids=["sigma0.5", "sigma1_3"])
 def test_3d_profile_tail_is_clean(sigma):
     # at the default radii the iterate's tail sinks into roundoff before
     # r_max; the interpolant stays a decaying profile, past r_max too
-    prof = petviashvili_ground_state(NonlinearityModel("power", sigma=sigma, c=1.0), 1.0)
+    prof = solve_ground_state(NonlinearityModel("power", sigma=sigma, c=1.0), 1.0, dim=3)
     b = prof(np.linspace(0.0, 60.0, 6001))
     assert np.all(b > 0)
     assert np.all(np.diff(b) <= 0)
@@ -141,43 +141,23 @@ def test_3d_supercritical_warns(cubic):
         solve_ground_state(cubic, 1.0, dim=3, r_max=25.0, n=1024)
 
 
-def test_3d_petviashvili_two_dsts_per_iteration(dst_calls):
-    # the mass of the converged iterate, which the plain (unmixed) iteration
-    # reaches only when pushed to tol = 1e-15; an iteration stopped after
-    # 5 steps transforms once, then twice a step
-    prof = petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=1536)
-    assert prof.mass == pytest.approx(65.49035507437067, rel=1e-13)
-    dst_calls.clear()
-    with pytest.raises(GroundStateError, match="converge"):
-        petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=512, max_iter=5)
-    assert len(dst_calls) == 1 + 2 * 5
+def test_3d_family_reuses_the_solve(banded_calls):
+    prof = solve_ground_state(SQRT_MODEL, 1.0, dim=3, r_max=30.0, n=1536)
+    assert banded_calls
+    banded_calls.clear()
+    fam = SolitonFamily(SQRT_MODEL, 3, m_ref=1.0, r_max=30.0, n_r=1536)
+    assert len(banded_calls) == 0
+    assert fam._ref is prof
 
 
-def test_3d_petviashvili_anderson_reaches_the_fixed_point(dst_calls):
-    # the mixed iteration stops within 25 steps (the plain one took 77), and
-    # a tighter tol no longer moves the mass: the increment is at roundoff
-    # (3e-16) a step or two later, where the mass itself wanders by ~1e-15
-    prof = petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=1536)
-    assert len(dst_calls) <= 1 + 2 * 25
-    tight = petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=1536, tol=1e-15)
-    assert tight.mass == pytest.approx(prof.mass, rel=1e-14)
-
-
-def test_3d_family_reuses_the_solve(dst_calls):
-    solve_ground_state(SQRT_MODEL, 1.0, dim=3, r_max=30.0, n=1536)
-    dst_calls.clear()
-    SolitonFamily(SQRT_MODEL, 3, m_ref=1.0, r_max=30.0, n_r=1536)
-    assert len(dst_calls) == 0
-
-
-def test_3d_cached_profile_is_shared_read_only(cubic):
-    petviashvili_ground_state.cache_clear()
-    prof = petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=512)
-    assert petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=512) is prof
-    with pytest.raises(ValueError):
-        prof.b[0] = 1.0
-    with pytest.raises(ValueError):
-        prof.r[0] = 1.0
+def test_3d_cached_profile_is_shared_read_only(cubic, banded_calls):
+    prof = solve_ground_state(SQRT_MODEL, 1.0, dim=3, r_max=30.0, n=512)
+    solves = len(banded_calls)
+    assert solve_ground_state(SQRT_MODEL, 1.0, dim=3, r_max=30.0, n=512) is prof
+    assert len(banded_calls) == solves
+    for a in (prof.r, prof.b, prof.b_E, prof.b_EE):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
     # the dispatch's checks run on every call, a cached one too
     for _ in range(2):
         with pytest.warns(UserWarning, match="h2"):
@@ -202,6 +182,14 @@ def test_saturable_newton_3d():
     prof = newton_ground_state(m, 1.0, dim=3, r_max=25.0, n=1024)
     assert prof.residual < 1e-6
     assert np.all(np.diff(prof.b) <= 1e-12 * prof.b[0])
+
+
+@pytest.mark.parametrize("energy", [2.7, 2.97])
+def test_saturable_3d_near_c_passes_the_dispatch(energy):
+    # E/c = 0.9 and 0.99 at the default radii, where a 4th-order stencil's
+    # residuals (1.2e-6 and 3.5e-6) fail the dispatch's 1e-6 check
+    prof = solve_ground_state(NonlinearityModel("saturable", c=3.0), energy, dim=3)
+    assert prof.residual <= 1e-6
 
 
 # b(0) from an independent method, shooting with bisection on b(0) (DOP853 at
@@ -279,16 +267,14 @@ def test_mass_curve_power_slopes_are_the_law(model, dim, kw):
     np.testing.assert_allclose(curve.slopes, law, rtol=1e-13, atol=0.0)
 
 
-def test_mass_curve_3d_power_is_one_solve(dst_calls):
-    petviashvili_ground_state(SQRT_MODEL, 1.0, r_max=30.0, n=1024)
-    one_solve = len(dst_calls)
-    petviashvili_ground_state.cache_clear()
-    dst_calls.clear()
+def test_mass_curve_3d_power_is_one_solve(banded_calls):
+    ref = newton_ground_state(SQRT_MODEL, 1.0, 3, r_max=30.0, n=1024)
+    one_solve = len(banded_calls)
+    newton_ground_state.cache_clear()
+    banded_calls.clear()
     curve = mass_curve(SQRT_MODEL, 0.9, 1.1, 3, dim=3, r_max=30.0, n=1024)
-    assert len(dst_calls) == one_solve
-    for E, m in zip(curve.energies, curve.masses):
-        want = petviashvili_ground_state(SQRT_MODEL, float(E), r_max=30.0, n=1024).mass
-        assert m == pytest.approx(want, rel=1e-13)
+    assert len(banded_calls) == one_solve
+    np.testing.assert_allclose(curve.masses, ref.mass * curve.energies**0.5, rtol=1e-13, atol=0.0)
 
 
 def test_energy_of_mass_cubic(cubic):

@@ -427,9 +427,9 @@ def test_saturable_free_run():
 
 
 def test_saturable_energy_of_mass_at_noise_floor():
-    # masses a few ulps apart next to the curve's knot E = 0.75: the solved
-    # mass is noisy at the 1e-13 tolerance, so a Newton step can return to a
-    # cached profile, and that must not cycle until "did not converge"
+    # masses a few ulps apart next to the curve's knot E = 0.75: a Newton
+    # step inside the profile cache's rounding returns to a cached profile,
+    # and that must not cycle until "did not converge"
     family = make_family(replace(_free_run_cfg(),
                                  model=NonlinearityModel("saturable", c=3.0)))
     m0 = family.curve.masses[4]
