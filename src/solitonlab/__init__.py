@@ -19,7 +19,7 @@ from .field import (Grid, FieldState, inner, omega, momenta,
                     apply_symmetry, apply_A)
 from .groundstate import (GroundStateProfile, MassCurve, SolitonParameters,
                           SolitonFamily, solve_ground_state, mass_of,
-                          mass_curve, energy_of_mass)
+                          mass_curve)
 from .evolve import hamiltonian, step, run
 from .modulation import (SolitonCoordinates, Decomposition, project,
                          invert_projector, residuals, initial_guess, extract)

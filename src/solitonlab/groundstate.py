@@ -18,6 +18,8 @@ the E-derivatives of b are closed forms in (log B)' and (log B)''.  A power
 mass curve is that one solve's mass times E^(1/sigma - d/2), and its slopes
 are the law's (1/sigma - d/2) m / E.  The saturable kind solves at every
 energy it meets, and m'(E), m''(E) are quadratures of b b_E, b_E^2 + b b_EE.
+Its family inverts m(E) by Newton on those solves, so no mass curve is
+ever inverted.
 
 Residual norms are measured with spectral differentiation (periodic even
 extension in 1D, odd-extension DST of u = r b in 3D): a second-order stencil
@@ -46,7 +48,7 @@ __all__ = [
     "GroundStateError", "GroundStateProfile", "MassCurve", "SolitonParameters",
     "SolitonTangents", "SolitonFamily",
     "solve_ground_state", "newton_ground_state",
-    "mass_of", "mass_curve", "check_h2", "energy_of_mass", "profile_residual",
+    "mass_of", "mass_curve", "check_h2", "profile_residual",
 ]
 
 
@@ -217,7 +219,7 @@ def newton_ground_state(model: NonlinearityModel, energy: float, dim: int,
 
     Newton from one sech guess can land on -b, on b = 0 or on a state with a
     node, so the guesses A sqrt(2E/c) sech(k sqrt(E) r), A in (1, 2),
-    k in (2, 1, 1/2, 1/4), are tried in turn until one reaches a monotone
+    k in (1, 2, 1/2, 1/4), are tried in turn until one reaches a monotone
     profile (up to sign) whose centre is bound, beta'(b(0)^2) > E.
 
     Memoized per process on all the arguments: callers share the returned
@@ -244,7 +246,7 @@ def newton_ground_state(model: NonlinearityModel, energy: float, dim: int,
         jac[4] += energy - model.beta_prime(s) - bs2
         return jac, bs2, s
 
-    for amp, k in itertools.product((1.0, 2.0), (2.0, 1.0, 0.5, 0.25)):
+    for amp, k in itertools.product((1.0, 2.0), (1.0, 2.0, 0.5, 0.25)):
         y = w * amp * math.sqrt(2.0 * energy / model.c) * _sech(k * math.sqrt(energy) * r[live])
         for _ in range(40):
             jac, bs2, _ = jacobian(y / w)
@@ -345,7 +347,6 @@ class MassCurve:
     energies: np.ndarray
     masses: np.ndarray
     slopes: np.ndarray            # dm/dE: the power law, or each solve's exact slope (saturable)
-    monotone: bool
 
     def __post_init__(self):
         self._interp = pchip(self.energies, self.masses)
@@ -373,7 +374,7 @@ def mass_curve(model: NonlinearityModel, e_lo: float, e_hi: float,
     else:
         profs = [solve_ground_state(model, float(e), dim, **solver_kw) for e in es]
         ms, slopes = np.array([(p.mass, p.mass_derivatives()[0]) for p in profs]).T
-    return MassCurve(es, ms, slopes, bool(np.all(slopes > 0)))
+    return MassCurve(es, ms, slopes)
 
 
 def check_h2(curve: MassCurve):
@@ -388,22 +389,10 @@ def check_h2(curve: MassCurve):
     return len(bad) == 0, info
 
 
-def energy_of_mass(curve: MassCurve, m: float) -> float:
-    """Invert the (monotone) mass curve: the one root of m(E) = m on the
-    PCHIP interpolant, from the closed-form cubic roots of its pieces
-    (`PiecewisePoly.solve`).  The root finder drops a root that rounding puts
-    just past an end of the range, so the two end energies are candidates
-    too; the candidate the interpolant maps nearest to m wins."""
-    if not curve.monotone:
-        raise GroundStateError("mass curve is not monotone: cannot invert")
-    m_lo, m_hi = curve.masses[0], curve.masses[-1]
-    if not (min(m_lo, m_hi) <= m <= max(m_lo, m_hi)):
-        raise GroundStateError(f"mass {m} outside curve range [{m_lo}, {m_hi}]")
-    es = np.append(curve._interp.solve(m), curve.energies[[0, -1]])
-    return float(es[np.argmin(np.abs(curve._interp(es) - m))])
-
-
 # -- soliton family ------------------------------------------------------------
+
+_MASS_NEWTON_ITERS = 16     # Newton steps on m(E) = m before a saturable E(m) gives up
+
 
 @dataclass(frozen=True)
 class SolitonParameters:
@@ -474,10 +463,10 @@ class SolitonFamily:
 
     `m_ref` is the reference mass m; a parameter vector p shifts the total
     mass to m + p4/2.  A power family scales its reference profile B (the
-    closed form in 1D, one solve in 3D); a saturable family takes the mass
-    curve `curve`'s estimate of E(m), which a power family ignores, and
-    polishes it by Newton on the solved m(E), whose exact slope also gives
-    E'(m) = 1/m'(E) and E''(m) = -m''(E)/m'(E)^3.
+    closed form in 1D, one solve in 3D); a saturable family finds E(m) by
+    Newton on the solved m(E), whose exact slope also gives
+    E'(m) = 1/m'(E) and E''(m) = -m''(E)/m'(E)^3.  `curve` is accepted and
+    ignored.
     """
 
     def __init__(self, model: NonlinearityModel, dim: int, m_ref: float,
@@ -486,7 +475,6 @@ class SolitonFamily:
         self.model = model
         self.dim = dim
         self.m_ref = float(m_ref)
-        self.curve = curve
         self.r_max = r_max
         self.n_r = n_r
         self.wrap_tol = wrap_tol
@@ -511,8 +499,6 @@ class SolitonFamily:
                 self._ref = solve_ground_state(model, 1.0, dim, r_max=r_max, n=n_r)
                 self._K = self._ref.mass
                 self._ref_log_derivatives = self._ref.log_derivatives
-        elif curve is None:
-            raise GroundStateError("saturable family needs a mass curve")
         self._profiles: dict = {}
 
     # mass <-> energy
@@ -521,9 +507,13 @@ class SolitonFamily:
             raise GroundStateError("total mass must be positive")
         if self._power:
             return (mtot / self._K) ** (1.0 / self._expo)
-        energy = energy_of_mass(self.curve, mtot)
+        # from the cached profile nearest in mass, or mid-range; a step that
+        # leaves (0, c) goes halfway to the end it crossed
+        c = self.model.c
+        near = min(self._profiles.values(), key=lambda p: abs(p.mass - mtot), default=None)
+        energy = 0.5 * c if near is None else near.energy
         tried = {}
-        for _ in range(8):
+        for _ in range(_MASS_NEWTON_ITERS):
             prof = self.profile(energy)
             miss = prof.mass - mtot
             if abs(miss) <= 1e-13 * mtot:
@@ -534,7 +524,8 @@ class SolitonFamily:
             if key in tried:
                 return min(tried.values())[1]
             tried[key] = (abs(miss), energy)
-            energy -= miss / prof.mass_derivatives()[0]
+            step = energy - miss / prof.mass_derivatives()[0]
+            energy = step if 0.0 < step < c else 0.5 * (energy + (c if step > 0.0 else 0.0))
         raise GroundStateError(f"Newton on m(E) = {mtot} did not converge")
 
     def mass_of_energy(self, energy: float) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from . import evolve as ev
 from . import field as fld
 from .field import FieldState, Grid, h1_norm, w1s_norm, apply_symmetry
-from .groundstate import SolitonFamily, mass_curve
+from .groundstate import SolitonFamily
 from .mech import (EffectivePotential, MechOrbit, MechState,
                    build_effective_potential, critical_margin, mech_energy, mech_run,
                    orbit_distance, orbit_steps)
@@ -68,14 +68,11 @@ class SweepResult:
 
 
 def make_family(cfg: SimulationConfig) -> SolitonFamily:
-    """The run's soliton family.  Only the saturable kind builds a mass
-    curve, the first estimate of E(m) that its family polishes by Newton on
-    the solved m(E); a power family scales one reference profile."""
-    curve = None
-    if cfg.model.kind != "power":
-        curve = mass_curve(cfg.model, 0.5 * cfg.reference_energy,
-                           1.5 * cfg.reference_energy, 9, dim=cfg.dim)
-    family = SolitonFamily(cfg.model, cfg.dim, m_ref=cfg.reference_mass or 1.0, curve=curve)
+    """The run's soliton family: a power family scales one reference
+    profile, a saturable family solves at the energies it meets.  Without a
+    `reference_mass`, m is the mass at `reference_energy`, and that solve
+    is the first cached profile the family's Newton on m(E) starts from."""
+    family = SolitonFamily(cfg.model, cfg.dim, m_ref=cfg.reference_mass or 1.0)
     if cfg.reference_mass is None:
         family.m_ref = family.mass_of_energy(cfg.reference_energy)
     return family

@@ -2,10 +2,12 @@
 
 Both builders repeat scipy's `CubicSpline` and `PchipInterpolator` step for
 step, and `PiecewisePoly` evaluates in `PPoly`'s order of operations, so the
-coefficients and values are scipy's bit for bit (tests pin them).  Only the
-tridiagonal solve comes from `scipy.linalg`; the package never imports
-`scipy.interpolate`, which would bring `scipy.sparse`, `scipy.spatial` and
-`scipy.optimize` into every process.
+coefficients and values are scipy's bit for bit (tests pin them).  Roots are
+found for a piecewise quadratic (a cubic's derivative) only, in closed form
+refined by one Newton step as `PPoly` does.  Only the tridiagonal solve comes
+from `scipy.linalg`; the package never imports `scipy.interpolate`, which
+would bring `scipy.sparse`, `scipy.spatial` and `scipy.optimize` into every
+process.
 """
 
 from __future__ import annotations
@@ -53,31 +55,10 @@ def _quadratic(a, b, cc):
     return w0, w1
 
 
-def _cubic(a, b, c, d):
-    """The roots of a s^3 + b s^2 + c s + d (a != 0), NaN for a complex pair:
-    the root of largest modulus from the Cardano or trigonometric form, the
-    other two from the quadratic left by backward deflation, which is stable
-    for that root even where a is tiny and the others are far smaller."""
-    B, C = b / a, c / a
-    p = C - B * B / 3.0
-    q = B * (2.0 * B * B - 9.0 * C) / 27.0 + d / a
-    disc = 0.25 * q * q + p * p * p / 27.0
-    u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(np.abs(disc)), q))   # != 0 where disc > 0
-    one = u - p / (3.0 * u)
-    m = 2.0 * np.sqrt(np.abs(p) / 3.0)
-    phi = np.arccos(np.clip(np.where(m == 0.0, 0.0, 3.0 * q / (p * m)), -1.0, 1.0)) / 3.0
-    three = m * np.cos(phi - (2.0 * math.pi / 3.0) * np.arange(3)[:, None])
-    big = np.argmax(np.abs(three - B / 3.0), axis=0)
-    t = np.where(disc > 0, one, np.take_along_axis(three, big[None], 0)[0])
-    r = t - B / 3.0
-    f = -d / r                 # r = 0 only for a s^3, whose other roots are r too
-    return (r, *_quadratic(a, (f - c) / r, f))
-
-
 class PiecewisePoly:
     """p(v) = sum_k c[k, i] (v - x[i])^(K-1-k) on [x[i], x[i+1]] (K = len(c)),
     the first and last pieces continued past the ends: `PPoly`'s layout, and
-    its arithmetic in `__call__`, `derivative` and `solve`."""
+    its arithmetic in `__call__`, `derivative` and `roots`."""
 
     def __init__(self, x: np.ndarray, c: np.ndarray):
         self.x, self.c = x, c
@@ -131,39 +112,32 @@ class PiecewisePoly:
         return (3.0 * c[0, j] * t + 2.0 * c[1, j]) * t + c[2, j]
 
     def roots(self) -> np.ndarray:
-        return self.solve(0.0)
-
-    def solve(self, y: float = 0.0) -> np.ndarray:
-        """Every v in [x[0], x[-1]] with p(v) = y (degree <= 3), in the order and
-        with the conventions of `PPoly.solve(y, extrapolate=False)`: piece by
-        piece, a knot where p - y changes sign between pieces, a piece equal to
-        y throughout as its start followed by NaN, a value equal to the one
+        """Every v in [x[0], x[-1]] with p(v) = 0 (degree <= 2), in the order and
+        with the conventions of `PPoly.roots(extrapolate=False)`: piece by
+        piece, a knot where p changes sign between pieces, a piece zero
+        throughout as its start followed by NaN, a value equal to the one
         before it dropped.  Each piece's roots are closed forms refined by one
-        Newton step as `PPoly` does; a cubic's are not LAPACK's eigenvalues,
-        so they may differ from scipy's in the last bits and in their order
-        within the piece."""
+        Newton step as `PPoly` does."""
         x, c = self.x, self.c
         K, n = c.shape
-        y = float(y)
+        if K > 3:
+            raise ValueError("roots of a piecewise quadratic or lower")
         with np.errstate(all="ignore"):
             lead = c[:-1] != 0
             order = np.where(lead.any(axis=0), K - 1 - lead.argmax(axis=0), 0)
             w = np.full((K - 1, n), np.nan)           # roots in s = v - x[i]
             lin = order == 1
-            w[0, lin] = -(c[-1, lin] - y) / c[-2, lin]
-            if K >= 3:
+            w[0, lin] = -c[-1, lin] / c[-2, lin]
+            if K == 3:
                 sq = order == 2
-                w[:2, sq] = _quadratic(c[-3, sq], c[-2, sq], c[-1, sq] - y)
-            if K == 4:
-                cb = order == 3
-                w[:, cb] = _cubic(c[0, cb], c[1, cb], c[2, cb], c[3, cb] - y)
-            f, df = _power_sum(c, w, 0) - y, _power_sum(c, w, 1)
+                w[:, sq] = _quadratic(c[0, sq], c[1, sq], c[2, sq])
+            f, df = _power_sum(c, w, 0), _power_sum(c, w, 1)
             dx = f / df
             w = np.where((df != 0) & (np.abs(dx) < np.abs(w)), w - dx, w) + x[:-1]
             inside = (x[:-1] <= w) & (w <= x[1:])
-            va = _power_sum(c[:, :-1], np.diff(x[:-1]), 0) - y
-            vb = c[-1, 1:] - y
-        flat = (order == 0) & (c[-1] == y)
+            va = _power_sum(c[:, :-1], np.diff(x[:-1]), 0)
+            vb = c[-1, 1:]
+        flat = (order == 0) & (c[-1] == 0)
         jump = np.zeros(n, bool)
         jump[1:] = ((va < 0) & (vb > 0)) | ((va > 0) & (vb < 0))
         # per piece: a sign-change knot, a flat piece's start and NaN, its roots

@@ -289,8 +289,7 @@ def test_criterion_10_three_d_smoke():
     assert prof.residual <= 1e-6
     curve = mass_curve(model, 0.9, 1.1, 3, dim=3, r_max=30.0, n=1024)
     assert np.all(curve.slopes > 0)
-    fam = SolitonFamily(model, 3, m_ref=curve.mass_at(1.0), curve=curve,
-                        r_max=30.0, n_r=1536)
+    fam = SolitonFamily(model, 3, m_ref=curve.mass_at(1.0), r_max=30.0, n_r=1536)
     grid = Grid(3, 48, 44.0)
     psi0 = fam.build(SolitonParameters(), grid)
     from solitonlab.evolve import run

@@ -1,7 +1,9 @@
+import importlib
 import json
 import logging
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -314,6 +316,13 @@ def test_cli_entry_point_runs(cfg_file):
         [sys.executable, "-m", "solitonlab.cli", "--config", str(cfg_file()),
          "groundstate"], capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(solitonlab.__path__)))
+def test_module_exports_resolve(name):
+    # a stale `__all__` entry breaks `from solitonlab.<module> import *`
+    mod = importlib.import_module(f"solitonlab.{name}")
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
 def test_import_loads_no_interpolate_stack():

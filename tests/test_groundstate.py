@@ -8,8 +8,8 @@ from solitonlab import groundstate
 from solitonlab.field import Grid, momenta
 from solitonlab.groundstate import (GroundStateError, GroundStateProfile,
                                     SolitonFamily, SolitonParameters, check_h2,
-                                    energy_of_mass, mass_curve, mass_of,
-                                    newton_ground_state, solve_ground_state)
+                                    mass_curve, mass_of, newton_ground_state,
+                                    solve_ground_state)
 from solitonlab.model import NonlinearityModel
 
 SQRT_MODEL = NonlinearityModel("power", sigma=0.5, c=1.0)
@@ -228,7 +228,7 @@ def test_saturable_newton_coverage(c, dim, frac):
 
 def test_mass_curve_cubic_slopes(cubic):
     curve = mass_curve(cubic, 0.5, 2.0, 17, dim=1)
-    assert curve.monotone
+    assert check_h2(curve)[0]
     expect = 0.5 / np.sqrt(curve.energies)
     rel = np.abs(curve.slopes - expect) / expect
     assert np.max(rel[1:-1]) < 5e-3          # centered interior stencils
@@ -245,7 +245,6 @@ def test_mass_curve_needs_three_samples(cubic):
 def test_mass_curve_3d_cubic_h2_fails(cubic):
     with pytest.warns(UserWarning):
         curve = mass_curve(cubic, 0.8, 1.2, 3, dim=3, r_max=25.0, n=1024)
-    assert not curve.monotone
     ok, info = check_h2(curve)
     assert not ok
     assert info["min_slope"] < 0
@@ -253,7 +252,7 @@ def test_mass_curve_3d_cubic_h2_fails(cubic):
 
 def test_mass_curve_3d_sqrt_h2_holds():
     curve = mass_curve(SQRT_MODEL, 0.8, 1.2, 3, dim=3, r_max=30.0, n=1024)
-    assert curve.monotone
+    assert check_h2(curve)[0]
 
 
 @pytest.mark.parametrize("model, dim, kw", [
@@ -275,29 +274,6 @@ def test_mass_curve_3d_power_is_one_solve(banded_calls):
     curve = mass_curve(SQRT_MODEL, 0.9, 1.1, 3, dim=3, r_max=30.0, n=1024)
     assert len(banded_calls) == one_solve
     np.testing.assert_allclose(curve.masses, ref.mass * curve.energies**0.5, rtol=1e-13, atol=0.0)
-
-
-def test_energy_of_mass_cubic(cubic):
-    curve = mass_curve(cubic, 0.5, 4.5, 33, dim=1)
-    assert energy_of_mass(curve, 1.0) == pytest.approx(1.0, abs=2e-5)
-    assert energy_of_mass(curve, 2.0) == pytest.approx(4.0, abs=2e-4)
-    m_star = 1.37
-    e_star = energy_of_mass(curve, m_star)
-    assert abs(curve.mass_at(e_star) - m_star) <= 1e-14 * m_star
-
-
-def test_energy_of_mass_out_of_range(cubic):
-    curve = mass_curve(cubic, 0.5, 2.0, 9, dim=1)
-    with pytest.raises(GroundStateError, match="outside"):
-        energy_of_mass(curve, 5.0)
-
-
-def test_energy_of_mass_at_the_ends(cubic):
-    # every knot inverts to its energy, the last one too, although the root
-    # finder alone loses it: the interpolant there is an ulp short of it
-    curve = mass_curve(cubic, 0.5, 2.0, 5, dim=1)
-    for m, e in zip(curve.masses, curve.energies):
-        assert energy_of_mass(curve, m) == pytest.approx(e, abs=1e-14)
 
 
 def test_profile_follows_the_grid(cubic):
@@ -454,7 +430,7 @@ def test_saturable_tangent_dt44_matches_finite_differences(p, grid512):
     # d t_4 / d p_4 carries b_EE and E''(m), which must be the exact
     # E-derivatives of the profile and the mass as built, tail included
     model = NonlinearityModel("saturable", c=3.0)
-    fam = SolitonFamily(model, 1, m_ref=1.0, curve=mass_curve(model, 0.5, 1.5, 9))
+    fam = SolitonFamily(model, 1, m_ref=1.0)
     fam.m_ref = fam.mass_of_energy(1.0)
     p, h = np.array(p), 1e-4
     want = fam.tangents(p, grid512).dt(3, 3)

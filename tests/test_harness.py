@@ -11,6 +11,7 @@ import pytest
 import solitonlab.evolve as ev
 import solitonlab.harness as hn
 from solitonlab.field import FieldState, Grid, h1_norm, inner
+from solitonlab.groundstate import newton_ground_state
 from solitonlab.harness import (ROW_FIELDS, build_initial_state, compare,
                                 epsilon_sweep, export_record, is_admissible,
                                 make_family, read_csv, scenario_run,
@@ -414,9 +415,13 @@ def test_warm_start_shorter_last_gap():
 
 def test_saturable_free_run():
     # the free_run set-up with a saturable nonlinearity (c = 3): every sample
-    # is extracted, and q drifts at the family's free rates p/m and E + v^2/4
+    # is extracted, and q drifts at the family's free rates p/m and E + v^2/4.
+    # The family's Newton on m(E) starts from the cached profile nearest in
+    # mass, so the run needs few radial solves (62 from a 9-solve mass curve)
     cfg = replace(_free_run_cfg(), model=NonlinearityModel("saturable", c=3.0))
+    newton_ground_state.cache_clear()
     rec = scenario_run(cfg)
+    assert newton_ground_state.cache_info().misses <= 12
     rows = rec.rows
     assert not rec.summary["partial"] and rec.summary["error"] is None
     assert len(rows["t"]) == 101
@@ -426,13 +431,23 @@ def test_saturable_free_run():
     assert rec.summary["max_phi_h1"] <= 1e-6
 
 
+def test_saturable_reference_energy_near_c():
+    # E_ref = 0.8 c: its ground state solves, and the family asks for no
+    # energy at or past c (a mass curve up to 1.5 E_ref would)
+    cfg = replace(_free_run_cfg(), model=NonlinearityModel("saturable", c=3.0),
+                  reference_energy=2.4, t_final=0.5)
+    rec = scenario_run(cfg)
+    assert not rec.summary["partial"] and rec.summary["error"] is None
+    assert rec.summary["max_phi_h1"] <= 1e-6
+
+
 def test_saturable_energy_of_mass_at_noise_floor():
-    # masses a few ulps apart next to the curve's knot E = 0.75: a Newton
+    # masses a few ulps apart next to the reference mass at E = 0.75: a Newton
     # step inside the profile cache's rounding returns to a cached profile,
     # and that must not cycle until "did not converge"
     family = make_family(replace(_free_run_cfg(),
                                  model=NonlinearityModel("saturable", c=3.0)))
-    m0 = family.curve.masses[4]
+    m0 = family.mass_of_energy(0.75)
     for m in m0 + np.arange(400) * 7.3e-15:
         E = family.energy_of_mass(m)
         assert abs(family.profile(E).mass - m) <= 2e-13 * m

@@ -380,8 +380,8 @@ def family3d():
     model = NonlinearityModel("power", sigma=0.5, c=1.0)
     from solitonlab.groundstate import mass_curve
     curve = mass_curve(model, 0.7, 1.4, 5, dim=3, r_max=25.0, n=1024)
-    fam = SolitonFamily(model, 3, m_ref=curve.mass_at(1.0), curve=curve,
-                        r_max=25.0, n_r=1024, wrap_tol=1e-6)
+    fam = SolitonFamily(model, 3, m_ref=curve.mass_at(1.0), r_max=25.0, n_r=1024,
+                        wrap_tol=1e-6)
     return fam, Grid(3, 32, 28.0)
 
 

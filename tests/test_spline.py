@@ -94,17 +94,6 @@ def test_pchip_coefficients_bit_for_bit(case, knots):
         _same(ours(v, nu), ref(v, nu))
 
 
-def test_pchip_solve_matches_scipy():
-    # a monotone mass curve: each level has one well-conditioned root
-    e = np.linspace(0.5, 4.5, 9)
-    m = 2.0 * e**0.5 * (1.0 + 0.1 * np.sin(e))
-    ref, ours = PchipInterpolator(e, m), pchip(e, m)
-    for level in np.linspace(m[0], m[-1], 41)[1:-1]:
-        got, want = ours.solve(level), ref.solve(level, extrapolate=False)
-        assert len(got) == len(want) == 1
-        assert got[0] == pytest.approx(want[0], rel=1e-14)
-
-
 @pytest.mark.parametrize("start", STARTS)
 @pytest.mark.parametrize("knots", KNOTS)
 def test_derivative_roots_match_ppoly(knots, start):
@@ -113,6 +102,11 @@ def test_derivative_roots_match_ppoly(knots, start):
     got = ours.derivative().roots()
     assert len(want) > 3
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_roots_need_a_quadratic():
+    with pytest.raises(ValueError, match="quadratic"):
+        cubic_spline(np.arange(5.0), np.arange(5.0) ** 3).roots()
 
 
 def test_roots_of_zero_piece_are_start_and_nan():
