@@ -16,7 +16,7 @@ import os
 import sys
 
 from .evolve import BlowupError
-from .groundstate import (GroundStateError, check_h2, mass_curve,
+from .groundstate import (GroundStateError, check_h2, mass_curve, mass_slope,
                           solve_ground_state)
 from .harness import (compare, epsilon_sweep, export_record, scenario_run,
                       write_csv)
@@ -43,12 +43,9 @@ def cmd_groundstate(args, cfg):
     out = _outdir(args, cfg)
     prof = solve_ground_state(cfg.model, cfg.reference_energy, cfg.dim)
     write_csv(os.path.join(out, "profile.csv"), {"r": prof.r, "b": prof.b})
-    around = mass_curve(cfg.model, 0.9 * cfg.reference_energy,
-                        1.1 * cfg.reference_energy, 5, dim=cfg.dim)
-    h2_ok, _ = check_h2(around)
     summary = {
         "energy": prof.energy, "mass": prof.mass, "residual": prof.residual,
-        "decay_rate": prof.decay_rate, "h2_ok": h2_ok,
+        "decay_rate": prof.decay_rate, "h2_ok": bool(mass_slope(prof) > 0),
     }
     with open(os.path.join(out, "groundstate.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)

@@ -19,7 +19,8 @@ mass curve is that one solve's mass times E^(1/sigma - d/2), and its slopes
 are the law's (1/sigma - d/2) m / E.  The saturable kind solves at every
 energy it meets, and m'(E), m''(E) are quadratures of b b_E, b_E^2 + b b_EE.
 Its family inverts m(E) by Newton on those solves, so no mass curve is
-ever inverted.
+ever inverted.  A mass curve interpolates its samples by the cubic Hermite
+through its exact slopes.
 
 Residual norms are measured with spectral differentiation (periodic even
 extension in 1D, odd-extension DST of u = r b in 3D): a second-order stencil
@@ -42,13 +43,13 @@ from scipy.linalg import solve_banded
 from . import field as fld
 from .field import FieldState, Grid, apply_symmetry
 from .model import NonlinearityModel
-from .spline import cubic_spline, pchip
+from .spline import _hermite, cubic_spline
 
 __all__ = [
     "GroundStateError", "GroundStateProfile", "MassCurve", "SolitonParameters",
     "SolitonTangents", "SolitonFamily",
     "solve_ground_state", "newton_ground_state",
-    "mass_of", "mass_curve", "check_h2", "profile_residual",
+    "mass_of", "mass_slope", "mass_curve", "check_h2", "profile_residual",
 ]
 
 
@@ -198,6 +199,7 @@ def _closed_form_1d(model: NonlinearityModel, energy: float):
     return b
 
 
+_RESIDUAL_TOL = 1e-6    # largest ground-state residual solve_ground_state accepts
 _NEWTON_TOL = 1e-11     # max|dy| <= tol max|y|; at 1e-13 roundoff kept b(0) >~ 6 from stopping
 _S_FLOOR = 1e-200       # b^2 floor: keeps a power's beta'' and beta''' s finite at b = 0
 
@@ -315,8 +317,7 @@ def _complete_radial(energy: float, dim: int, r: np.ndarray, b: np.ndarray, deri
 
 
 def solve_ground_state(model: NonlinearityModel, energy: float, dim: int = 1,
-                       r_max: float = 40.0, n: int = 2048,
-                       residual_tol: float = 1e-6) -> GroundStateProfile:
+                       r_max: float = 40.0, n: int = 2048) -> GroundStateProfile:
     """Production dispatch; raises if the residual check fails."""
     if energy <= 0:
         raise GroundStateError("energy must be positive")
@@ -330,9 +331,9 @@ def solve_ground_state(model: NonlinearityModel, energy: float, dim: int = 1,
         prof.residual = profile_residual(prof, model)
     else:
         prof = newton_ground_state(model, energy, dim, r_max=r_max, n=n)
-    if not np.isfinite(prof.residual) or prof.residual > residual_tol:
+    if not np.isfinite(prof.residual) or prof.residual > _RESIDUAL_TOL:
         raise GroundStateError(
-            f"ground-state residual {prof.residual:.3e} above {residual_tol:.1e}")
+            f"ground-state residual {prof.residual:.3e} above {_RESIDUAL_TOL:.1e}")
     if np.any(prof.b <= 0):
         raise GroundStateError("profile not strictly positive")
     return prof
@@ -342,14 +343,14 @@ def solve_ground_state(model: NonlinearityModel, energy: float, dim: int = 1,
 
 @dataclass
 class MassCurve:
-    """m(E) sampled at `energies`, and `mass_at` its PCHIP interpolant
-    (`spline.pchip`: monotone between monotone samples)."""
+    """m(E) sampled at `energies` with its exact slopes there, and `mass_at`
+    the cubic Hermite interpolant through both (`spline._hermite`)."""
     energies: np.ndarray
     masses: np.ndarray
     slopes: np.ndarray            # dm/dE: the power law, or each solve's exact slope (saturable)
 
     def __post_init__(self):
-        self._interp = pchip(self.energies, self.masses)
+        self._interp = _hermite(self.energies, self.masses, self.slopes)
 
     def mass_at(self, energy: float) -> float:
         return float(self._interp(energy))
@@ -375,6 +376,15 @@ def mass_curve(model: NonlinearityModel, e_lo: float, e_hi: float,
         profs = [solve_ground_state(model, float(e), dim, **solver_kw) for e in es]
         ms, slopes = np.array([(p.mass, p.mass_derivatives()[0]) for p in profs]).T
     return MassCurve(es, ms, slopes)
+
+
+def mass_slope(profile: GroundStateProfile) -> float:
+    """dm/dE at the profile's energy: the power law's (1/sigma - d/2) m / E, or
+    the saturable solve's own, from its exact b_E."""
+    model = profile.model
+    if model.kind == "power":
+        return (1.0 / model.sigma - profile.dim / 2.0) * profile.mass / profile.energy
+    return profile.mass_derivatives()[0]
 
 
 def check_h2(curve: MassCurve):

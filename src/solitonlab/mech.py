@@ -9,8 +9,8 @@ integral) at the nodes of the line through the box centre along the symmetry
 axis.  The leapfrog's force, the exact derivative of the cubic spline through
 those values (`spline.cubic_spline`, scipy's not-a-knot `CubicSpline` bit for
 bit), keeps its energy errors bounded.  H_mech = p^2/(2m) + eps V^eff(q).
-Critical values come from the closed-form roots of the spline's derivative,
-a quadratic on each piece.
+Critical values are V^eff at the spline's stationary points, the real roots
+of its derivative in closed form (a quadratic on each piece), and at infinity.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class EffectivePotential:
 
     def __post_init__(self):
         self._spline = cubic_spline(self.grid.axes[0], self.values)
-        self._dspline = self._spline.derivative()
 
     def value_at(self, q) -> float:
         """V^eff at the axial coordinate q (a scalar or a length-1 array)."""
@@ -209,12 +208,11 @@ def orbit_distance(point: MechState, orbit: MechOrbit) -> float:
 
 
 def critical_values(veff: EffectivePotential) -> np.ndarray:
-    """Critical values of V^eff on the axis: V^eff at every root of the
-    spline's V^eff' (closed forms, a quadratic per piece) plus the value at
-    infinity (0 for decaying potentials).  A piece where V^eff' vanishes
-    identically gives its start and a NaN, and the NaN is dropped."""
-    q = veff._dspline.roots()
-    vals = np.concatenate([[0.0], veff._spline(q[~np.isnan(q)])])
+    """Critical values of V^eff on the axis: V^eff at the spline's stationary
+    points (closed forms, a quadratic per piece; a piece where V^eff' vanishes
+    identically gives its start) plus the value at infinity (0 for decaying
+    potentials)."""
+    vals = np.concatenate([[0.0], veff._spline(veff._spline.stationary_points())])
     return np.unique(np.round(vals, 12))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.linalg import eigh
 
-from .groundstate import GroundStateProfile, solve_ground_state
+from .groundstate import GroundStateProfile, mass_slope, solve_ground_state
 from .model import NonlinearityModel
 
 __all__ = [
@@ -31,6 +31,11 @@ __all__ = [
 
 class SpectralError(RuntimeError):
     pass
+
+
+SECTORS_3D = (0, 1)     # angular sectors assembled in 3D (1D has the one line)
+KERNEL_TOL = 1e-4       # |lambda| < KERNEL_TOL E counts as kernel
+N_REPORT = 20           # lowest eigenvalues reported per operator and sector
 
 
 def _lap_4th(n: int, h: float) -> np.ndarray:
@@ -59,7 +64,7 @@ class LinearizationOperators:
 
 
 def build_operators(profile: GroundStateProfile, model: NonlinearityModel,
-                    n: int, r_max: float, sectors=(0, 1)) -> LinearizationOperators:
+                    n: int, r_max: float) -> LinearizationOperators:
     E = profile.energy
     if r_max < 10.0 / np.sqrt(E):
         raise SpectralError("domain too small: need r_max >= 10/sqrt(E)")
@@ -67,7 +72,6 @@ def build_operators(profile: GroundStateProfile, model: NonlinearityModel,
         h = 2.0 * r_max / (n + 1)
         x = -r_max + h * np.arange(1, n + 1)
         b = profile(np.abs(x))
-        sectors = (0,)
     else:
         h = r_max / (n + 1)
         x = h * np.arange(1, n + 1)
@@ -81,7 +85,8 @@ def build_operators(profile: GroundStateProfile, model: NonlinearityModel,
 
     lap = _lap_4th(n, h)
     mats = {}
-    for sector in (sectors if profile.dim == 3 else (0,)):
+    sectors = SECTORS_3D if profile.dim == 3 else (0,)
+    for sector in sectors:
         if profile.dim == 3:
             cent = sector * (sector + 1) / x**2
             lap_s = lap.copy()
@@ -94,7 +99,7 @@ def build_operators(profile: GroundStateProfile, model: NonlinearityModel,
         mats[("plus", sector)] = lap_s + np.diag(u_plus + cent)
         mats[("minus", sector)] = lap_s + np.diag(u_minus + cent)
     return LinearizationOperators(dim=profile.dim, energy=E, r_max=r_max, x=x, b=b,
-                                  matrices=mats, sectors=tuple(sorted({s for _, s in mats})),
+                                  matrices=mats, sectors=sectors,
                                   model=model, profile=profile)
 
 
@@ -139,7 +144,7 @@ def kernel_residuals(profile: GroundStateProfile, model: NonlinearityModel,
 class SpectralReport:
     energy: float
     kernel_tol: float
-    eigenvalues: dict                  # ("plus"|"minus", sector) -> lowest 20
+    eigenvalues: dict                  # ("plus"|"minus", sector) -> lowest N_REPORT
     kernel_dim: dict
     negative_count: dict               # lambda < -kernel_tol * E, kernel band excluded
     kernel_overlap: dict               # |<v_ker, reference>| / norms
@@ -168,15 +173,15 @@ class SpectralReport:
         }
 
 
-def eigen_report(ops: LinearizationOperators, kernel_tol: float = 1e-4,
-                 gap_window=(0.05, 0.95), n_report: int = 20) -> SpectralReport:
+def eigen_report(ops: LinearizationOperators,
+                 gap_window=(0.05, 0.95)) -> SpectralReport:
     E = ops.energy
-    tol = kernel_tol * E
+    tol = KERNEL_TOL * E
     eigs, kdim, nneg, kover = {}, {}, {}, {}
     vecs = {}
     for key, mat in ops.matrices.items():
         w, v = eigh(mat)
-        eigs[key] = w[:n_report]
+        eigs[key] = w[:N_REPORT]
         vecs[key] = (w, v)
         kdim[key] = int(np.sum(np.abs(w) < tol))
         nneg[key] = int(np.sum(w < -tol))
@@ -220,7 +225,7 @@ def eigen_report(ops: LinearizationOperators, kernel_tol: float = 1e-4,
         and all(v >= 0.999 for v in kover.values()) \
         and nneg[("plus", 0)] == 0
     h5 = len(internal) == 0
-    return SpectralReport(energy=E, kernel_tol=kernel_tol, eigenvalues=eigs,
+    return SpectralReport(energy=E, kernel_tol=KERNEL_TOL, eigenvalues=eigs,
                           kernel_dim=kdim, negative_count=nneg, kernel_overlap=kover,
                           internal_modes=sorted(internal), pencil_min=pencil_min,
                           gap_window=tuple(gap_window), h3_ok=h3, h5_ok=h5)
@@ -228,13 +233,10 @@ def eigen_report(ops: LinearizationOperators, kernel_tol: float = 1e-4,
 
 def check_h2_h3_h5(model: NonlinearityModel, energy: float, dim: int = 1,
                    n: int = 2048, r_max: float = 40.0, **report_kw) -> dict:
-    """Mass-curve slope at E, kernel structure, internal-mode scan: one verdict.
-
-    The power kind's slope is the scaling law's, (1/sigma - d/2) m / E; the
-    saturable kind's is the solve's own, from its exact b_E."""
+    """Mass-curve slope at E (`mass_slope`), kernel structure, internal-mode
+    scan: one verdict."""
     prof = solve_ground_state(model, energy, dim, r_max=r_max)
-    dm_dE = ((1.0 / model.sigma - dim / 2.0) * prof.mass / energy if model.kind == "power"
-             else prof.mass_derivatives()[0])
+    dm_dE = mass_slope(prof)
     ops = build_operators(prof, model, n=n, r_max=r_max)
     rep = eigen_report(ops, **report_kw)
     out = {

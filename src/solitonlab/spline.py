@@ -1,13 +1,13 @@
-"""Piecewise cubics: the interpolating cubic spline and PCHIP.
+"""Piecewise cubics: the interpolating cubic spline and the cubic Hermite.
 
-Both builders repeat scipy's `CubicSpline` and `PchipInterpolator` step for
-step, and `PiecewisePoly` evaluates in `PPoly`'s order of operations, so the
-coefficients and values are scipy's bit for bit (tests pin them).  Roots are
-found for a piecewise quadratic (a cubic's derivative) only, in closed form
-refined by one Newton step as `PPoly` does.  Only the tridiagonal solve comes
-from `scipy.linalg`; the package never imports `scipy.interpolate`, which
-would bring `scipy.sparse`, `scipy.spatial` and `scipy.optimize` into every
-process.
+`cubic_spline` repeats scipy's `CubicSpline` step for step, `_hermite` builds
+`CubicHermiteSpline`'s coefficients from values and slopes, and
+`PiecewisePoly` evaluates in `PPoly`'s order of operations, so the
+coefficients and values are scipy's bit for bit (tests pin them).  A cubic's
+stationary points are closed forms: the real roots of its derivative, a
+quadratic on each piece.  Only the tridiagonal solve comes from
+`scipy.linalg`; the package never imports `scipy.interpolate`, which would
+bring `scipy.sparse`, `scipy.spatial` and `scipy.optimize` into every process.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
-__all__ = ["PiecewisePoly", "cubic_spline", "pchip"]
+__all__ = ["PiecewisePoly", "cubic_spline"]
 
 
 def _power_sum(c: np.ndarray, s: np.ndarray, nu: int) -> np.ndarray:
@@ -40,25 +40,10 @@ def _power_sum(c: np.ndarray, s: np.ndarray, nu: int) -> np.ndarray:
     return res
 
 
-def _quadratic(a, b, cc):
-    """The two roots of a s^2 + b s + cc (a != 0) as `PPoly` computes them,
-    NaN for a complex pair whose imaginary part exceeds 1e-10."""
-    d = b * b - 4.0 * a * cc
-    cplx = d < 0
-    sd = np.sqrt(np.abs(d))
-    two_a = 2.0 * a
-    mid = np.where(cplx & (np.abs(sd / two_a) > 1e-10), np.nan, -b / two_a)
-    same = cplx | (sd == 0)
-    neg_b = b < 0
-    w0 = np.where(same, mid, np.where(neg_b, (2.0 * cc) / (-b + sd), (-b - sd) / two_a))
-    w1 = np.where(same, mid, np.where(neg_b, (-b + sd) / two_a, (2.0 * cc) / (-b - sd)))
-    return w0, w1
-
-
 class PiecewisePoly:
     """p(v) = sum_k c[k, i] (v - x[i])^(K-1-k) on [x[i], x[i+1]] (K = len(c)),
     the first and last pieces continued past the ends: `PPoly`'s layout, and
-    its arithmetic in `__call__`, `derivative` and `roots`."""
+    its arithmetic in `__call__`."""
 
     def __init__(self, x: np.ndarray, c: np.ndarray):
         self.x, self.c = x, c
@@ -91,10 +76,6 @@ class PiecewisePoly:
         out[np.isnan(flat)] = np.nan
         return out.reshape(v.shape)
 
-    def derivative(self) -> "PiecewisePoly":
-        K = len(self.c)
-        return PiecewisePoly(self.x, self.c[:-1] * np.arange(K - 1.0, 0.0, -1.0)[:, None])
-
     def value_uniform(self, q: float) -> float:
         """p(q) of a cubic on uniform knots, scalar and by Horner."""
         j = int((q - self._x0) / self._h)
@@ -111,42 +92,19 @@ class PiecewisePoly:
         c = self.c
         return (3.0 * c[0, j] * t + 2.0 * c[1, j]) * t + c[2, j]
 
-    def roots(self) -> np.ndarray:
-        """Every v in [x[0], x[-1]] with p(v) = 0 (degree <= 2), in the order and
-        with the conventions of `PPoly.roots(extrapolate=False)`: piece by
-        piece, a knot where p changes sign between pieces, a piece zero
-        throughout as its start followed by NaN, a value equal to the one
-        before it dropped.  Each piece's roots are closed forms refined by one
-        Newton step as `PPoly` does."""
-        x, c = self.x, self.c
-        K, n = c.shape
-        if K > 3:
-            raise ValueError("roots of a piecewise quadratic or lower")
+    def stationary_points(self) -> np.ndarray:
+        """Every v in [x[0], x[-1]] where a cubic's p' = 3 c0 s^2 + 2 c1 s + c2
+        (s = v - x[i]) vanishes, piece by piece and increasing within a piece:
+        the real roots in [0, h_i] by the cancellation-free quadratic formula,
+        q = -(b + sign(b) sqrt(b^2 - 4 a c)) / 2 and roots q/a, c/q (c/q alone
+        when a = 0), and the start of a piece where p' is zero throughout."""
+        a, b, c = 3.0 * self.c[0], 2.0 * self.c[1], self.c[2]
         with np.errstate(all="ignore"):
-            lead = c[:-1] != 0
-            order = np.where(lead.any(axis=0), K - 1 - lead.argmax(axis=0), 0)
-            w = np.full((K - 1, n), np.nan)           # roots in s = v - x[i]
-            lin = order == 1
-            w[0, lin] = -c[-1, lin] / c[-2, lin]
-            if K == 3:
-                sq = order == 2
-                w[:, sq] = _quadratic(c[0, sq], c[1, sq], c[2, sq])
-            f, df = _power_sum(c, w, 0), _power_sum(c, w, 1)
-            dx = f / df
-            w = np.where((df != 0) & (np.abs(dx) < np.abs(w)), w - dx, w) + x[:-1]
-            inside = (x[:-1] <= w) & (w <= x[1:])
-            va = _power_sum(c[:, :-1], np.diff(x[:-1]), 0)
-            vb = c[-1, 1:]
-        flat = (order == 0) & (c[-1] == 0)
-        jump = np.zeros(n, bool)
-        jump[1:] = ((va < 0) & (vb > 0)) | ((va > 0) & (vb < 0))
-        # per piece: a sign-change knot, a flat piece's start and NaN, its roots
-        cand = np.vstack([x[:-1], x[:-1], np.full(n, np.nan), w])
-        piece, row = np.nonzero(np.vstack([jump, flat, flat, inside]).T)
-        vals, forced = cand[row, piece], (row == 1) | (row == 2)
-        fresh = np.ones(len(vals), bool)
-        fresh[1:] = vals[1:] != vals[:-1]
-        return vals[fresh | forced]
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+            s = np.sort([q / a, c / q], axis=0)       # NaN (no root) sorts last
+        s[0, (a == 0) & (b == 0) & (c == 0)] = 0.0
+        inside = (s >= 0) & (s <= np.diff(self.x))
+        return (s + self.x[:-1]).T[inside.T]
 
 
 def _hermite(x, y, s) -> PiecewisePoly:
@@ -190,33 +148,3 @@ def cubic_spline(x, y, d0: float | None = None) -> PiecewisePoly:
     s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
                      overwrite_b=True, check_finite=False).reshape(n)
     return _hermite(x, y, s)
-
-
-def _pchip_end(h0, h1, m0, m1):
-    """`PchipInterpolator`'s one-sided three-point end slope, kept in shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def pchip(x, y) -> PiecewisePoly:
-    """The monotone piecewise-cubic Hermite interpolant through (x, y), x
-    increasing, at least 3 knots: `PchipInterpolator`'s slopes."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if len(x) < 3:
-        raise ValueError("PCHIP needs at least 3 knots")
-    h = x[1:] - x[:-1]
-    m = (y[1:] - y[:-1]) / h
-    sm = np.sign(m)
-    cond = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d = np.zeros_like(y)
-    d[1:-1][~cond] = 1.0 / whmean[~cond]
-    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
-    return _hermite(x, y, d)

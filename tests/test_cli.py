@@ -279,6 +279,26 @@ dir = {}
     assert main(["--config", str(ini), "groundstate"]) == 2
 
 
+def test_cli_groundstate_saturable_near_c(tmp_path):
+    # E = 0.95 c solves, and h2 is that solve's own exact dm/dE: no energy
+    # near or past c is solved besides it
+    ini = tmp_path / "sat.ini"
+    ini.write_text("""
+[model]
+kind = saturable
+c = 1.0
+
+[run]
+reference_energy = 0.95
+
+[output]
+dir = {}
+""".format(tmp_path / "out"))
+    assert main(["--config", str(ini), "groundstate"]) == 0
+    summary = json.loads((tmp_path / "out" / "groundstate.json").read_text())
+    assert summary["h2_ok"] is True
+
+
 def _raise(exc):
     def fail(*a, **kw):
         raise exc("synthetic failure")

@@ -282,12 +282,30 @@ def test_degenerate_perturbation_is_numerical():
         hn.build_perturbation(grid, make_family(cfg), np.zeros(4), 0.5, 2.0, ZeroRng())
 
 
+def _tiny_sweep():
+    return epsilon_sweep(_base_cfg(t_final=0.0), [1e-2, 4e-3, 1e-3], t0=0.2)
+
+
+def _sweep_pins(res):
+    """A sweep's pinned numbers: its slopes and each member's SWEEP_KEYS."""
+    return {"slopes": {k: v["slope"] for k, v in res.slopes.items()},
+            "entries": [{k: e[k] for k in SWEEP_KEYS} for e in res.entries]}
+
+
 def test_sweep_tiny_slopes():
     # micro-sweep: slopes exist and the phi slope is ~0.5 by construction
-    cfg = _base_cfg(t_final=0.0)
-    res = epsilon_sweep(cfg, [1e-2, 4e-3, 1e-3], t0=0.2)
+    res = _tiny_sweep()
     assert set(res.slopes) == {"drift", "phi_h1", "d_eps"}
     assert res.slopes["phi_h1"]["slope"] == pytest.approx(0.5, abs=0.1)
+    # and the slopes and each member's constants and margin are the pinned ones
+    got, want = _sweep_pins(res), json.loads(GOLDEN.read_text())["tiny_sweep"]
+    assert got["slopes"].keys() == want["slopes"].keys()
+    for k, v in want["slopes"].items():
+        assert got["slopes"][k] == pytest.approx(v, rel=0, abs=1e-9), k
+    assert len(got["entries"]) == len(want["entries"])
+    for e, w in zip(got["entries"], want["entries"]):
+        for k in SWEEP_KEYS:
+            assert e[k] == pytest.approx(w[k], rel=0, abs=1e-9), k
 
 
 def test_pooled_sweep_runs_its_longest_member_in_the_caller(monkeypatch):
@@ -360,8 +378,9 @@ def test_critical_margin_reported(short_run):
 
 
 # -- golden pins ----------------------------------------------------------------------
-# Rows of two runs, pinned so that a refactor of a hot path that moves them
-# fails here.  Regenerate with
+# Rows of two runs, and the tiny sweep's slopes and per-member constants,
+# pinned so that a refactor of a hot path that moves them fails here.
+# Regenerate with
 # `PYTHONPATH=src python tests/test_harness.py` only when a change of the
 # computed numbers is intended.
 
@@ -369,6 +388,7 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_runs.json")
 CLOSE_COLS = ("p1", "p2", "p3", "p4", "q1", "q2", "q3", "q4", "H_mech",
               "H_mech_drift", "phi_H1", "phi_L2", "d_eps")
 EXACT_COLS = ("mass", "H_total", "boundary_mass")     # evolve-level, bit for bit
+SWEEP_KEYS = ("C1", "C2", "C_phi", "critical_margin")  # per sweep member, to 1e-9
 
 
 def _free_run_cfg():
@@ -469,6 +489,7 @@ def test_run_timing(free_run):
 if __name__ == "__main__":
     runs = {"short_run": scenario_run(_base_cfg()),
             "free_run": scenario_run(_free_run_cfg())}
-    GOLDEN.write_text(json.dumps(
-        {name: {k: rec.rows[k].tolist() for k in CLOSE_COLS + EXACT_COLS}
-         for name, rec in runs.items()}) + "\n")
+    golden = {name: {k: rec.rows[k].tolist() for k in CLOSE_COLS + EXACT_COLS}
+              for name, rec in runs.items()}
+    golden["tiny_sweep"] = _sweep_pins(_tiny_sweep())
+    GOLDEN.write_text(json.dumps(golden) + "\n")

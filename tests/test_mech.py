@@ -311,8 +311,8 @@ def test_critical_values_two_term_potential(family, grid512):
 
 
 def test_critical_values_without_potential(family, grid512):
-    # V = 0: every piece of V^eff' is identically zero, so the root finder
-    # reports NaN for each; only the value at infinity is left
+    # V = 0: V^eff and its spline vanish, so every piece is stationary and
+    # gives V^eff = 0, the value at infinity
     flat = build_effective_potential(PotentialModel(), family, 1.0, grid512)
     assert critical_values(flat).tolist() == [0.0]
     assert critical_margin(0.25, flat) == 0.25

@@ -1,12 +1,12 @@
-"""The in-house cubic spline and PCHIP against scipy.interpolate, which the
-package itself never imports: coefficients and values bit for bit, roots to
-1e-14."""
+"""The in-house cubic spline against scipy.interpolate, which the package
+itself never imports: coefficients and values bit for bit, stationary points
+(the derivative's roots) to 1e-14."""
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from solitonlab.spline import PiecewisePoly, cubic_spline, pchip
+from solitonlab.spline import PiecewisePoly, _hermite, cubic_spline
 
 KNOTS = {
     "uniform": np.linspace(-4.0, 6.0, 23),
@@ -36,7 +36,6 @@ def _pair(knots, start, seed=0):
 def test_cubic_spline_coefficients_bit_for_bit(knots, start):
     ref, ours = _pair(knots, start)
     _same(ours.c, ref.c)
-    _same(ours.derivative().c, ref.derivative().c)
 
 
 @pytest.mark.parametrize("nu", [0, 1, 2])
@@ -56,7 +55,14 @@ def test_evaluation_bit_for_bit(knots, start, nu):
     assert np.isnan(out[-1])
     _same(ours(v.reshape(4, -1), nu), ref(v.reshape(4, -1), nu))
     _same(ours(v[5], nu), ref(v[5], nu))
-    _same(ours.derivative()(v, min(nu, 1)), ref.derivative()(v, min(nu, 1)))
+
+
+@pytest.mark.parametrize("knots", KNOTS)
+def test_hermite_coefficients_bit_for_bit(knots):
+    # the mass curve's interpolant: values and exact slopes at the knots
+    x = KNOTS[knots]
+    y, s = np.random.default_rng(7).normal(size=(2, len(x)))
+    _same(_hermite(x, y, s).c, CubicHermiteSpline(x, y, s).c)
 
 
 def test_uniform_scalar_path_matches_evaluation():
@@ -67,67 +73,33 @@ def test_uniform_scalar_path_matches_evaluation():
         assert ours.slope_uniform(q) == pytest.approx(ref(q, 1), rel=0, abs=1e-14)
 
 
-# PCHIP end slopes (PchipInterpolator._edge_case) on unit spacing: the
-# three-point estimate kept, zeroed where its sign differs from the end
-# segment's, or capped at three times that segment's slope where the next
-# segment turns back; interior slopes zeroed at a flat segment or a sign change
-PCHIP_CASES = {
-    "kept": ([0.0, 1.0, 2.0, 4.0, 4.5], 1.0),
-    "sign-flip": ([0.0, 1.0, 5.0, 5.5, 6.0], 0.0),
-    "capped": ([0.0, 1.0, -4.0, -4.5, -6.0], 3.0),
-    "flat-segment": ([0.0, 1.0, 1.0, 2.0, 0.5], None),
-    "sign-change": ([1.0, 0.0, 2.0, -1.0, 3.0], None),
-}
-
-
-@pytest.mark.parametrize("case", PCHIP_CASES)
-@pytest.mark.parametrize("knots", ["uniform", "nonuniform"])
-def test_pchip_coefficients_bit_for_bit(case, knots):
-    y, slope = PCHIP_CASES[case]
-    x = np.arange(5.0) if knots == "uniform" else np.array([0.0, 0.7, 1.0, 2.4, 2.5])
-    ref, ours = PchipInterpolator(x, y), pchip(x, y)
-    _same(ours.c, ref.c)
-    if slope is not None and knots == "uniform":
-        assert ours.c[2, 0] == slope
-    v = np.linspace(x[0] - 0.5, x[-1] + 0.5, 101)
-    for nu in (0, 1, 2):
-        _same(ours(v, nu), ref(v, nu))
-
-
 @pytest.mark.parametrize("start", STARTS)
 @pytest.mark.parametrize("knots", KNOTS)
 def test_derivative_roots_match_ppoly(knots, start):
+    # the stationary points, in increasing order, are the roots of scipy's
+    # derivative spline (which lists a piece's two roots in either order)
     ref, ours = _pair(knots, start, seed=6)
-    want = ref.derivative().roots(extrapolate=False)
-    got = ours.derivative().roots()
+    want = np.sort(ref.derivative().roots(extrapolate=False))
+    got = ours.stationary_points()
     assert len(want) > 3
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
-def test_roots_need_a_quadratic():
-    with pytest.raises(ValueError, match="quadratic"):
-        cubic_spline(np.arange(5.0), np.arange(5.0) ** 3).roots()
-
-
-def test_roots_of_zero_piece_are_start_and_nan():
-    # a constant spline, whose derivative is zero on every piece, and
-    # quadratics with one zero piece
+def test_stationary_points_of_flat_and_quadratic_pieces():
+    # a constant spline is flat on every piece: each piece gives its start.
+    # Pieces with c0 = 0 (p' linear), p' = 0, p' = s^2 + 1 > 0 and p' = 3 s^2
     x = np.arange(8.0)
-    y = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    want = CubicSpline(x, y).derivative().roots(extrapolate=False)
-    got = cubic_spline(x, y).derivative().roots()
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    assert np.isnan(got).sum() == 7
-    c = np.array([[1.0, 0.0, -1.0, 2.0], [-1.0, 0.0, 0.5, -2.0], [0.21, 0.0, 0.3, 0.5]])
+    np.testing.assert_array_equal(cubic_spline(x, np.ones(8)).stationary_points(),
+                                  x[:-1])
+    c = np.array([[0.0, 0.0, 1.0 / 3.0, 1.0],
+                  [1.0, 0.0, 0.0, 0.0],
+                  [-1.2, 0.0, 1.0, 0.0],
+                  [0.3, 0.5, 2.0, 1.0]])
     xk = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    want = PPoly(c, xk).roots(extrapolate=False)
-    got = PiecewisePoly(xk, c).roots()
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    assert np.isnan(got).sum() == 1 and 1.0 in got
+    np.testing.assert_array_equal(PiecewisePoly(xk, c).stationary_points(),
+                                  [0.6, 1.0, 3.0])
 
 
 def test_too_few_knots_raise():
     with pytest.raises(ValueError):
         cubic_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        pchip([0.0, 1.0], [0.0, 1.0])
